@@ -286,6 +286,30 @@ let bucket_pairs hn i =
           (slot_pairs s.buckets.(i + hn.size))
     | None -> slot_pairs hn.buckets.(i))
 
+(* How many of [pairs]' keys fall in bucket [target] under [mask]. *)
+let count_mask pairs ~mask ~target =
+  let c = ref 0 in
+  for j = 0 to Array.length pairs - 1 do
+    if fst pairs.(j) land mask = target then incr c
+  done;
+  !c
+
+(* [Array.length (bucket_pairs hn i)], without building the split or
+   merged array of a bucket the migration has not initialised yet. *)
+let bucket_size hn i =
+  match Atomic.get hn.buckets.(i) with
+  | Node n -> Array.length n.pairs
+  | Uninit -> (
+    match Atomic.get hn.pred with
+    | Some s ->
+      if hn.size = s.size * 2 then
+        count_mask (slot_pairs s.buckets.(i land s.mask)) ~mask:hn.mask
+          ~target:i
+      else
+        Array.length (slot_pairs s.buckets.(i))
+        + Array.length (slot_pairs s.buckets.(i + hn.size))
+    | None -> Array.length (slot_pairs hn.buckets.(i)))
+
 let bindings t =
   let hn = Atomic.get t.head in
   List.concat_map
@@ -306,7 +330,7 @@ let bucket_sizes t =
    slots are [Node {ok = false}]. *)
 let inspect t =
   let hn = Atomic.get t.head in
-  let sizes = Array.init hn.size (fun i -> Array.length (bucket_pairs hn i)) in
+  let sizes = Array.init hn.size (bucket_size hn) in
   let initialized = ref 0 in
   let frozen = ref 0 in
   Array.iter

@@ -394,6 +394,32 @@ let bucket_pairs hn i =
         Array.append (slot_pairs s.buckets.(i)) (slot_pairs s.buckets.(i + hn.size))
     | None -> slot_pairs hn.buckets.(i))
 
+(* How many of [pairs]' keys fall in bucket [target] under [mask]. *)
+let count_mask pairs ~mask ~target =
+  let c = ref 0 in
+  for j = 0 to Array.length pairs - 1 do
+    if fst pairs.(j) land mask = target then incr c
+  done;
+  !c
+
+(* [Array.length (bucket_pairs hn i)], without building the split or
+   merged array of a bucket the migration has not initialised yet. A
+   slot with a pending operation still copies its pairs once, in
+   [slot_pairs]. *)
+let bucket_size hn i =
+  match Atomic.get hn.buckets.(i) with
+  | N _ -> Array.length (slot_pairs hn.buckets.(i))
+  | Uninit -> (
+    match Atomic.get hn.pred with
+    | Some s ->
+      if hn.size = s.size * 2 then
+        count_mask (slot_pairs s.buckets.(i land s.mask)) ~mask:hn.mask
+          ~target:i
+      else
+        Array.length (slot_pairs s.buckets.(i))
+        + Array.length (slot_pairs s.buckets.(i + hn.size))
+    | None -> Array.length (slot_pairs hn.buckets.(i)))
+
 let bindings t =
   let hn = Atomic.get t.head in
   List.concat_map (fun i -> Array.to_list (bucket_pairs hn i)) (List.init hn.size Fun.id)
@@ -440,7 +466,7 @@ let announce_pending t =
    frozen when its operation field reads [Frozen]. *)
 let inspect t =
   let hn = Atomic.get t.head in
-  let sizes = Array.init hn.size (fun i -> Array.length (bucket_pairs hn i)) in
+  let sizes = Array.init hn.size (bucket_size hn) in
   let initialized = ref 0 in
   let frozen = ref 0 in
   let scan ~count_init b =

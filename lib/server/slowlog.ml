@@ -17,7 +17,11 @@
    plus one fetch-and-add and a compare — no allocation, no locks
    (Mutex is banned in lib/). Captures claim a slot by fetch-and-add
    on [next] and publish the finished entry with an atomic set;
-   readers see each slot either empty or whole. The JSONL file write
+   readers see each slot either empty or whole. A capture runs on the
+   worker before it reads the connection's next frame, so it keeps to
+   O(lanes x tail_records) work: [Trace.tail] decodes only each lane's
+   newest records, and the entry holds them raw — the text is rendered
+   when the entry is serialised. The JSONL file write
    is a single [write] of one line, which POSIX keeps atomic enough
    for line-oriented consumers at these sizes. *)
 
@@ -42,7 +46,7 @@ type entry = {
   write_ns : int;
   threshold_ns : int;  (* effective threshold at capture time *)
   view : V.table_view option;  (* owning shard's structural state *)
-  trace_tail : string option;  (* merged flight-recorder tail *)
+  trace_tail : Trace.record array option;  (* merged flight-recorder tail *)
 }
 
 type t = {
@@ -105,6 +109,9 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* Records attached to a capture: the trace tail's length. *)
+let tail_records = 50
+
 let view_json (v : V.table_view) =
   Printf.sprintf
     "{\"buckets\":%d,\"cardinal\":%d,\"load_factor\":%.4f,\"max_depth\":%d,\"frozen_buckets\":%d,\"migrating\":%b,\"migration_progress\":%.4f,\"announce_pending\":%d}"
@@ -119,7 +126,9 @@ let entry_json e =
     (match e.view with None -> "null" | Some v -> view_json v)
     (match e.trace_tail with
     | None -> "null"
-    | Some s -> Printf.sprintf "\"%s\"" (json_escape s))
+    | Some recs ->
+      Printf.sprintf "\"%s\""
+        (json_escape (Format.asprintf "%a" Trace.pp_records recs)))
 
 (* Surviving entries, oldest first. *)
 let entries t =
@@ -145,9 +154,7 @@ let capture t ~op ~key ~shard ~total_ns ~read_ns ~decode_ns ~shard_ns ~help_ns
   Tm.emit Ev.Server_slow;
   let view = try t.inspect shard with _ -> None in
   let trace_tail =
-    match Trace.active () with
-    | None -> None
-    | Some tr -> Some (Format.asprintf "%a" (Trace.dump_tail ~n:50) tr)
+    Option.map (fun tr -> Trace.tail tr ~n:tail_records) (Trace.active ())
   in
   let i = Atomic.fetch_and_add t.next 1 in
   let e =

@@ -203,43 +203,65 @@ let drops t =
       { overwritten = acc.overwritten + o; torn = acc.torn + tn })
     { overwritten = 0; torn = 0 } (lane_drops t)
 
-(* Newest surviving records of one lane, oldest first. *)
-let lane_records t lane =
+(* The newest [limit] surviving records of one lane that decode,
+   oldest first. The scan runs backwards from the write frontier and
+   stops once it has [limit], so a short tail costs O(limit), not
+   O(capacity). *)
+let lane_records ?(limit = max_int) t lane =
   let total = lane.pos in
-  let n = min total t.capacity in
-  let first = total - n in
-  let out = ref [] in
-  for j = n - 1 downto 0 do
-    let p = first + j in
-    let base = (p land t.cap_mask) * words_per_record in
-    match decode_code lane.buf.(base + 1) with
+  let first = total - min total t.capacity in
+  let out = ref [] and kept = ref 0 and p = ref (total - 1) in
+  while !p >= first && !kept < limit do
+    let base = (!p land t.cap_mask) * words_per_record in
+    (match decode_code lane.buf.(base + 1) with
     | None -> ()  (* torn or never-completed record *)
     | Some (phase, point) ->
+      incr kept;
       out :=
         {
           ts_ns = lane.buf.(base);
           domain = lane.buf.(base + 3);
-          seq = p;
+          seq = !p;
           phase;
           point;
           arg = lane.buf.(base + 2);
         }
-        :: !out
+        :: !out);
+    decr p
   done;
   !out
 
-(* All surviving records of all lanes, globally sorted by timestamp
-   (ties broken by lane position, preserving per-domain program
-   order — a domain always writes to the same lane). *)
-let records t =
+(* Merge order: timestamp, then lane position (preserving per-domain
+   program order — a domain always writes to the same lane), then
+   domain, so that records of different lanes never compare equal. *)
+let by_time a b =
+  match compare a.ts_ns b.ts_ns with
+  | 0 -> (
+    match compare a.seq b.seq with 0 -> compare a.domain b.domain | c -> c)
+  | c -> c
+
+let merge ?limit t =
   let all =
-    Array.to_list t.lanes |> List.concat_map (lane_records t) |> Array.of_list
+    Array.to_list t.lanes
+    |> List.concat_map (lane_records ?limit t)
+    |> Array.of_list
   in
-  Array.sort
-    (fun a b ->
-      match compare a.ts_ns b.ts_ns with 0 -> compare a.seq b.seq | c -> c)
-    all;
+  Array.sort by_time all;
   all
+
+(* All surviving records of all lanes, globally sorted by timestamp. *)
+let records t = merge t
+
+(* The newest [n] records of [records t]. A lane's records are already
+   in time order (one writing domain, a monotonic clock), so each of
+   the global newest [n] is among its own lane's newest [n]: merging
+   those lanes x n candidates is enough. *)
+let tail t ~n =
+  if n <= 0 then [||]
+  else
+    let all = merge ~limit:n t in
+    let len = Array.length all in
+    if len <= n then all else Array.sub all (len - n) n
 
 (* Timestamp of each non-empty lane's most recent record, for the
    watchdog's per-domain staleness check. *)
@@ -382,19 +404,17 @@ let to_chrome_string t =
 
 let write_chrome oc t = output_string oc (to_chrome_string t)
 
-(* Human-readable tail for stall dumps: the newest [n] merged records,
-   one per line. *)
-let dump_tail ?(n = 40) ppf t =
-  let recs = records t in
-  let len = Array.length recs in
-  let start = max 0 (len - n) in
-  if len = 0 then Format.fprintf ppf "(trace empty)@."
+(* Human-readable records for stall dumps, one per line. *)
+let pp_records ppf recs =
+  if Array.length recs = 0 then Format.fprintf ppf "(trace empty)@."
   else
-    for i = start to len - 1 do
-      let r = recs.(i) in
-      let phase =
-        match r.phase with Instant -> "." | Begin -> "B" | End -> "E"
-      in
-      Format.fprintf ppf "%19d d%-3d %s %-22s arg=%d@." r.ts_ns r.domain phase
-        (point_name r.point) r.arg
-    done
+    Array.iter
+      (fun r ->
+        let phase =
+          match r.phase with Instant -> "." | Begin -> "B" | End -> "E"
+        in
+        Format.fprintf ppf "%19d d%-3d %s %-22s arg=%d@." r.ts_ns r.domain
+          phase (point_name r.point) r.arg)
+      recs
+
+let dump_tail ?(n = 40) ppf t = pp_records ppf (tail t ~n)

@@ -75,7 +75,19 @@ val point_name : point -> string
 val records : t -> record array
 (** All surviving records of all lanes merged into one stream sorted
     by [ts_ns] (ties broken by lane position, preserving per-domain
-    order). *)
+    order, then by domain). *)
+
+val tail : t -> n:int -> record array
+(** [tail t ~n] is the last [n] of [records t] (all of them if fewer
+    survive; none if [n <= 0]), found by decoding only each lane's
+    newest [n] records: O(lanes * n), whatever the ring capacity. It
+    relies on each lane holding one domain's records in time order;
+    where two domains share a lane it is best-effort, like the rest of
+    the recorder. *)
+
+val pp_records : Format.formatter -> record array -> unit
+(** One line per record (timestamp, domain, phase, point, argument),
+    or ["(trace empty)"] for none: the format of {!dump_tail}. *)
 
 val written : t -> int
 (** Total records ever written (including overwritten ones). *)
@@ -112,5 +124,5 @@ val to_chrome_string : t -> string
 val write_chrome : out_channel -> t -> unit
 
 val dump_tail : ?n:int -> Format.formatter -> t -> unit
-(** Human-readable dump of the newest [n] (default 40) merged records,
-    for watchdog stall reports. *)
+(** Human-readable dump of the newest [n] (default 40) merged records
+    ({!tail}, printed by {!pp_records}), for watchdog stall reports. *)

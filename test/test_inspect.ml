@@ -118,6 +118,61 @@ let quiescent_wf_hashmap () =
   Alcotest.(check int) "Wf_hashmap: no pending slots" 0
     v.Nbhash.Hashset_intf.announce_pending
 
+(* The maps count an uninitialised bucket's keys in place instead of
+   building its split or merged pair array; the view must still equal
+   the census of [bucket_sizes], which does build them. Lazy migration
+   and no policy resizes make the windows deterministic: a grow window
+   (split by mask) and a shrink window (two buckets merged), each
+   checked untouched and then partly initialised by updates. *)
+let map_window ~what ~put ~force_resize ~inspect ~bucket_sizes () =
+  let check_open step =
+    let v = inspect () in
+    Alcotest.(check bool) (what ^ " " ^ step ^ ": window open") true
+      v.V.migrating;
+    check_view ~what:(what ^ " " ^ step) v (bucket_sizes ())
+  in
+  for k = 0 to 2047 do
+    put (k * 3)
+  done;
+  List.iter
+    (fun (dir, grow) ->
+      force_resize ~grow;
+      check_open (dir ^ ", untouched");
+      for k = 0 to 63 do
+        put ((k * 17) + 1)
+      done;
+      check_open (dir ^ ", partly initialised"))
+    [ ("grow", true); ("shrink", false) ]
+
+let map_policy =
+  {
+    (Nbhash.Policy.lazy_migration Nbhash.Policy.default) with
+    Nbhash.Policy.enabled = false;
+    init_buckets = 256;
+  }
+
+let window_hashmap () =
+  let module M = Nbhash.Hashmap in
+  let t = M.create ~policy:map_policy () in
+  let h = M.register t in
+  map_window ~what:"Hashmap"
+    ~put:(fun k -> ignore (M.put h k "v"))
+    ~force_resize:(M.force_resize h)
+    ~inspect:(fun () -> M.inspect t)
+    ~bucket_sizes:(fun () -> M.bucket_sizes t)
+    ()
+
+let window_wf_hashmap () =
+  let module M = Nbhash.Wf_hashmap in
+  let t = M.create ~policy:map_policy () in
+  let h = M.register t in
+  map_window ~what:"Wf_hashmap"
+    ~put:(fun k -> ignore (M.put h k k))
+    ~force_resize:(M.force_resize h)
+    ~inspect:(fun () -> M.inspect t)
+    ~bucket_sizes:(fun () -> M.bucket_sizes t)
+    ()
+
 let suite =
   [
     ( "inspect",
@@ -141,5 +196,8 @@ let suite =
             quiescent_hashmap;
           Alcotest.test_case "quiescent census Wf_hashmap" `Quick
             quiescent_wf_hashmap;
+          Alcotest.test_case "migration window Hashmap" `Quick window_hashmap;
+          Alcotest.test_case "migration window Wf_hashmap" `Quick
+            window_wf_hashmap;
         ] );
   ]

@@ -444,6 +444,94 @@ let test_staged_marks_disabled_no_alloc () =
   if delta > 256. then
     Alcotest.failf "disabled staged marks allocated %.0f minor words" delta
 
+(* A capture runs on the worker before it reads the next frame, so its
+   cost must be bounded by the tail it keeps, not by the ring it reads:
+   over a flight recorder sized like `serve`'s (64 lanes x 2^14 slots),
+   filling three lanes from 1,000 records each to wrapped must not
+   change what a capture allocates. The capture's shard view comes
+   from a map caught mid-migration, the inspector's costliest state. *)
+module Trace = Nbhash_telemetry.Trace
+
+let test_capture_alloc_bounded () =
+  let m =
+    Nbhash.Hashmap.create
+      ~policy:
+        {
+          (Nbhash.Policy.lazy_migration Nbhash.Policy.default) with
+          Nbhash.Policy.enabled = false;
+          init_buckets = 1024;
+        }
+      ()
+  in
+  let h = Nbhash.Hashmap.register m in
+  for k = 0 to 4095 do
+    ignore (Nbhash.Hashmap.put h k "v")
+  done;
+  Nbhash.Hashmap.force_resize h ~grow:true;
+  let slow =
+    Slowlog.create ~threshold_ns:0
+      ~inspect:(fun _ -> Some (Nbhash.Hashmap.inspect m))
+      ()
+  in
+  let capacity = 1 lsl 14 in
+  let tr = Trace.create ~lanes:64 ~capacity () in
+  Trace.install tr;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      (* Three writer domains, alive across both fills so that they
+         keep their lanes. *)
+      let filled = Atomic.make 0 and go = Atomic.make false in
+      let fill_to ~target =
+        while Atomic.get filled < target do
+          Unix.sleepf 0.001
+        done
+      in
+      let ds =
+        List.init 3 (fun _ ->
+            Domain.spawn (fun () ->
+                for i = 1 to 1_000 do
+                  Trace.instant Nbhash_telemetry.Event.Help_op i
+                done;
+                Atomic.incr filled;
+                while not (Atomic.get go) do
+                  Unix.sleepf 0.001
+                done;
+                for i = 1 to 2 * capacity do
+                  Trace.instant Nbhash_telemetry.Event.Help_op i
+                done;
+                Atomic.incr filled))
+      in
+      let capture_words () =
+        let before = Gc.minor_words () in
+        Slowlog.note slow ~op:"get" ~key:1 ~shard:0 ~total_ns:1 ~read_ns:0
+          ~decode_ns:0 ~shard_ns:1 ~help_ns:0 ~write_ns:0;
+        Gc.minor_words () -. before
+      in
+      fill_to ~target:3;
+      ignore (capture_words ());
+      let partial = capture_words () in
+      Atomic.set go true;
+      fill_to ~target:6;
+      List.iter Domain.join ds;
+      let full = capture_words () in
+      Alcotest.(check int) "every note captured" 3 (Slowlog.captured slow);
+      if full >= 50_000. then
+        Alcotest.failf "a capture over full rings allocated %.0f minor words"
+          full;
+      if full > partial +. 1_000. then
+        Alcotest.failf
+          "capture allocation grew with the rings: %.0f -> %.0f minor words"
+          partial full;
+      (* The stored records render to the text dump_tail prints. *)
+      let rendered =
+        match Slowlog.entries slow |> List.rev with
+        | { Slowlog.trace_tail = Some recs; _ } :: _ ->
+          Format.asprintf "%a" Trace.pp_records recs
+        | _ -> Alcotest.fail "capture has no trace tail"
+      in
+      Alcotest.(check string) "tail renders as dump_tail"
+        (Format.asprintf "%a" (Trace.dump_tail ~n:Slowlog.tail_records) tr)
+        rendered)
+
 (* --- load generator --- *)
 
 let test_loadgen () =
@@ -556,5 +644,7 @@ let suite =
           test_stall_capture;
         Alcotest.test_case "disabled staged marks allocate nothing" `Quick
           test_staged_marks_disabled_no_alloc;
+        Alcotest.test_case "capture allocation bounded by its tail" `Quick
+          test_capture_alloc_bounded;
       ] );
   ]

@@ -124,6 +124,61 @@ let test_merge_ordering () =
       Alcotest.(check int) "every writer lane reports liveness" writers
         (Array.length lanes))
 
+(* --- the bounded tail --- *)
+
+(* [Trace.tail t ~n] reads only each lane's newest [n] records; it must
+   still be exactly the newest [n] of the full merge, whatever the ring
+   holds. *)
+let record_t =
+  Alcotest.testable
+    (fun ppf r -> Trace.pp_records ppf [| r |])
+    ( = )
+
+let check_tail ~what tr =
+  let all = Trace.records tr in
+  let len = Array.length all in
+  List.iter
+    (fun n ->
+      let k = min n len in
+      Alcotest.(check (array record_t))
+        (Printf.sprintf "%s: tail ~n:%d = last %d of records" what n k)
+        (Array.sub all (len - k) k)
+        (Trace.tail tr ~n))
+    [ 0; 1; 3; 8; 50; len; len + 7 ]
+
+let test_tail_matches_records () =
+  with_trace ~lanes:1 ~capacity:8 (fun tr ->
+      check_tail ~what:"empty ring" tr;
+      for i = 0 to 4 do
+        Trace.instant Event.Cas_retry i
+      done;
+      check_tail ~what:"one domain" tr;
+      for i = 5 to 19 do
+        Trace.instant Event.Cas_retry i
+      done;
+      check_tail ~what:"one domain, wrapped" tr;
+      Trace.clear tr;
+      check_tail ~what:"cleared" tr;
+      Trace.instant Event.Freeze 1;
+      check_tail ~what:"refilled after clear" tr);
+  (* Several domains with different write counts: some lanes wrapped,
+     some not, interleaved in time. *)
+  with_trace ~lanes:16 ~capacity:16 (fun tr ->
+      let ds =
+        List.init 3 (fun d ->
+            Domain.spawn (fun () ->
+                for i = 0 to (d * 20) + 5 do
+                  Trace.instant Event.Help_op i;
+                  if i land 3 = 0 then Domain.cpu_relax ()
+                done))
+      in
+      List.iter Domain.join ds;
+      Trace.span_begin Event.Resize_span;
+      Trace.span_end Event.Resize_span;
+      check_tail ~what:"several domains" tr;
+      Trace.clear tr;
+      check_tail ~what:"several domains, cleared" tr)
+
 (* --- the disabled path allocates nothing --- *)
 
 let test_disabled_path_no_alloc () =
@@ -321,6 +376,8 @@ let suite =
         Alcotest.test_case "drop accounting" `Quick test_drops;
         Alcotest.test_case "multi-domain merge ordering" `Quick
           test_merge_ordering;
+        Alcotest.test_case "tail is the last n of records" `Quick
+          test_tail_matches_records;
         Alcotest.test_case "disabled path allocates nothing" `Quick
           test_disabled_path_no_alloc;
         Alcotest.test_case "chrome export well-formed" `Quick
