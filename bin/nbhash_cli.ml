@@ -729,9 +729,14 @@ let serve_cmd =
        a live probe; install one for the server's whole lifetime. *)
     Nbhash_telemetry.Global.install (Nbhash_telemetry.Probe.recording ());
     (* A resident flight recorder: the staged request slices land in
-       these rings, so slow-request captures can attach a trace tail. *)
+       these rings, so slow-request captures can attach a trace tail.
+       One lane per domain this process runs, so none is shared. *)
+    let lanes = Server.trace_lanes ~workers ~metrics:(not no_metrics)
+    and capacity = 1 lsl 14 in
     Nbhash_telemetry.Trace.install
-      (Nbhash_telemetry.Trace.create ~lanes:64 ~capacity:(1 lsl 14) ());
+      (Nbhash_telemetry.Trace.create ~lanes ~capacity ());
+    Server.memory_gauges
+      ~recorder_bytes:(lanes * capacity * 4 * (Sys.word_size / 8));
     (* The contention profiler is resident too — /profile.json answers
        404 without one. Allocation sampling stays off unless asked
        for; the disabled path is allocation-free. *)

@@ -205,54 +205,106 @@ let read_response ?max_frame fd =
   | Result.Ok None -> Result.Error "connection closed before the response"
   | Result.Ok (Some payload) -> response_of_payload payload
 
-(* --- timed framed read (stage attribution) --- *)
+(* --- buffered per-connection reader (the server's read path) --- *)
 
-(* Like [read_frame], but also returns the monotonic timestamp taken
-   right after the *first* byte of the length prefix arrived — the
-   boundary between "parked waiting for a request" and "reading one".
-   The wait for byte 0 is deliberately untimed (a connection can idle
-   for seconds between requests); everything after it is the read
-   stage. When [timed] is false this is exactly [read_frame] plus a
-   constant 0, with the prefix read as a single syscall. *)
-let read_frame_timed ?(max_frame = default_max_frame) ~timed fd =
-  if not timed then (read_frame ~max_frame fd, 0)
+(* One reusable buffer per connection, filled by one [read] at a time:
+   every complete frame a [read] delivered is returned, in order,
+   before the next [read]. A request that arrives in one segment costs
+   one system call, and the only per-frame allocation is the payload
+   copy. [buf.[lo, hi)] holds the bytes received but not yet returned;
+   the buffer grows to at most [4 + max_frame] bytes for a large frame
+   and drops back to [reader_capacity] once the bytes left over fit. *)
+type reader = {
+  fd : Unix.file_descr;
+  max_frame : int;
+  mutable buf : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
+  mutable t_first : int;
+}
+[@@nbhash.plain_ok
+  "one reader per connection, used only by the worker domain serving \
+   that connection; never shared"]
+
+let reader_capacity = 4096
+
+let reader ?(max_frame = default_max_frame) fd =
+  {
+    fd;
+    max_frame;
+    buf = Bytes.create reader_capacity;
+    lo = 0;
+    hi = 0;
+    t_first = 0;
+  }
+
+let buffer_capacity r = Bytes.length r.buf
+let first_byte_ns r = r.t_first
+
+(* Make room for [need] bytes from [lo] (moving the unread bytes to
+   the front, into a larger buffer if [need] does not fit), then
+   [read] once. Returns the byte count, 0 at EOF. *)
+let refill r ~need =
+  let avail = r.hi - r.lo in
+  if need > Bytes.length r.buf then begin
+    let b = Bytes.create need in
+    Bytes.blit r.buf r.lo b 0 avail;
+    r.buf <- b
+  end
+  else if r.lo > 0 then Bytes.blit r.buf r.lo r.buf 0 avail;
+  r.lo <- 0;
+  r.hi <- avail;
+  let n = intr_read r.fd r.buf r.hi (Bytes.length r.buf - r.hi) in
+  r.hi <- r.hi + n;
+  n
+
+(* Read until [need] bytes are buffered from [lo]; [false] at EOF.
+   [timed] stamps [t_first] when the read that delivers the frame's
+   first byte returns. *)
+let rec fill r ~timed ~need =
+  r.hi - r.lo >= need
+  ||
+  let empty = r.hi = r.lo in
+  refill r ~need > 0
+  && begin
+       if timed && empty then r.t_first <- Nbhash_util.Clock.now_ns ();
+       fill r ~timed ~need
+     end
+
+(* Hand out [len] payload bytes at [lo + 4] and drop back to the
+   initial buffer once what is left over fits in it. *)
+let take r len =
+  let payload = Bytes.sub_string r.buf (r.lo + 4) len in
+  r.lo <- r.lo + 4 + len;
+  if Bytes.length r.buf > reader_capacity && r.hi - r.lo <= reader_capacity
+  then begin
+    let b = Bytes.create reader_capacity in
+    Bytes.blit r.buf r.lo b 0 (r.hi - r.lo);
+    r.buf <- b;
+    r.hi <- r.hi - r.lo;
+    r.lo <- 0
+  end;
+  payload
+
+let next_frame ~timed r =
+  (* A first byte already buffered arrived before this call: its
+     frame's read stage starts now. *)
+  if timed && r.hi > r.lo then r.t_first <- Nbhash_util.Clock.now_ns ();
+  if not (fill r ~timed ~need:4) then
+    if r.hi = r.lo then Result.Ok None
+    else
+      Result.Error
+        (Printf.sprintf "truncated length prefix (%d of 4 bytes)" (r.hi - r.lo))
   else
-    let prefix = Bytes.create 4 in
-    let read_exact_from b off want =
-      let got = ref 0 in
-      let eof = ref false in
-      while (not !eof) && !got < want do
-        let n = intr_read fd b (off + !got) (want - !got) in
-        if n = 0 then eof := true else got := !got + n
-      done;
-      !got
-    in
-    match read_exact_from prefix 0 1 with
-    | 0 -> (Result.Ok None, 0)
-    | _ -> (
-      let t_first = Nbhash_util.Clock.now_ns () in
-      match 1 + read_exact_from prefix 1 3 with
-      | p when p < 4 ->
-        ( Result.Error
-            (Printf.sprintf "truncated length prefix (%d of 4 bytes)" p),
-          t_first )
-      | _ ->
-        let len = Int32.to_int (Bytes.get_int32_be prefix 0) in
-        if len <= 0 then
-          (Result.Error (Printf.sprintf "bad declared length %d" len), t_first)
-        else if len > max_frame then
-          ( Result.Error
-              (Printf.sprintf "oversized declared length %d (max %d)" len
-                 max_frame),
-            t_first )
-        else
-          let body = Bytes.create len in
-          (match read_exact fd body len with
-          | got when got < len ->
-            Result.Error
-              (Printf.sprintf "truncated frame (%d of %d bytes)" got len)
-          | _ -> Result.Ok (Some (Bytes.unsafe_to_string body)))
-          |> fun r -> (r, t_first))
+    let len = Int32.to_int (Bytes.get_int32_be r.buf r.lo) in
+    if len <= 0 then Result.Error (Printf.sprintf "bad declared length %d" len)
+    else if len > r.max_frame then
+      Result.Error
+        (Printf.sprintf "oversized declared length %d (max %d)" len r.max_frame)
+    else if not (fill r ~timed ~need:(4 + len)) then
+      Result.Error
+        (Printf.sprintf "truncated frame (%d of %d bytes)" (r.hi - r.lo - 4) len)
+    else Result.Ok (Some (take r len))
 
 (* --- protocol revision 2 --- *)
 

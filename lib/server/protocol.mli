@@ -80,16 +80,38 @@ val read_response :
   ?max_frame:int -> Unix.file_descr -> (response, string) result
 (** [read_frame] + decode; EOF where a response was due is an error. *)
 
-val read_frame_timed :
-  ?max_frame:int ->
-  timed:bool ->
-  Unix.file_descr ->
-  (string option, string) result * int
-(** [read_frame] that also returns the monotonic timestamp taken right
-    after the first prefix byte arrived — the boundary between idle
-    wait and the read stage, for per-request attribution. With
-    [~timed:false] (telemetry disabled) it is exactly [read_frame]
-    plus a constant [0]: single-syscall prefix read, no clock. *)
+(** {1 Buffered reader}
+
+    The server's read path: one reusable buffer per connection, filled
+    by one [read] at a time, so a request that arrives in one segment
+    costs one system call. *)
+
+type reader
+
+val reader_capacity : int
+(** The initial buffer size, 4 KiB. *)
+
+val reader : ?max_frame:int -> Unix.file_descr -> reader
+(** A reader over [fd] with an empty {!reader_capacity}-byte buffer.
+    The buffer grows to at most [4 + max_frame] bytes for a large
+    frame and shrinks back to {!reader_capacity} once the bytes after
+    that frame fit in it. *)
+
+val next_frame : timed:bool -> reader -> (string option, string) result
+(** The next frame, as {!read_frame} would return it, with the same
+    error texts. Every complete frame one [read] delivered is returned,
+    in order, before the reader reads again. With [~timed:true] the
+    call also records {!first_byte_ns}; with [~timed:false] it reads
+    no clock. *)
+
+val first_byte_ns : reader -> int
+(** After a timed {!next_frame}: when the [read] that delivered the
+    frame's first byte returned or, if that byte was already buffered,
+    when [next_frame] was called. The boundary between idle wait and
+    the read stage, for per-request attribution. *)
+
+val buffer_capacity : reader -> int
+(** The current buffer size in bytes. *)
 
 (** {1 Revision 2 codec and IO}
 

@@ -20,7 +20,7 @@
    check the stopping flag only between requests), any in-flight
    migration is driven to completion by the draining thread, and open
    connections are shut down for reading — which unblocks workers
-   parked in read_frame with a clean EOF while letting their pending
+   parked in a frame read with a clean EOF while letting their pending
    writes finish. Acknowledged writes are readable from the backend
    after [wait] returns: nothing is torn down but the sockets. *)
 
@@ -96,7 +96,7 @@ let conn_untrack t fd =
 
 (* Flip to stopping and wake everything that blocks: the listener (so
    accepting workers exit) and every tracked connection (shutdown for
-   reading unblocks a worker parked in read_frame with EOF, while a
+   reading unblocks a worker parked in a frame read with EOF, while a
    response still being written goes out). Idempotent. *)
 let initiate_stop t =
   if Atomic.compare_and_set t.stopping false true then begin
@@ -197,15 +197,12 @@ let serve_connection t h fd =
   Tm.Global.emit Ev.Server_conn;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let ctx = Stages.make () in
+  let reader = Protocol.reader ~max_frame:t.config.max_frame fd in
   let rev = ref Protocol.V1 in
   let continue = ref true in
   while !continue do
     Stages.frame_start ctx;
-    let frame, t_first =
-      Protocol.read_frame_timed ~max_frame:t.config.max_frame
-        ~timed:(Stages.enabled ctx) fd
-    in
-    match frame with
+    match Protocol.next_frame ~timed:(Stages.enabled ctx) reader with
     | Ok None ->
       Stages.frame_abandoned ctx;
       continue := false
@@ -218,7 +215,7 @@ let serve_connection t h fd =
       (try write_reply fd !rev ~id:0 (Err msg) with Unix.Unix_error _ -> ());
       continue := false
     | Ok (Some payload) -> (
-      Stages.read_done ctx ~t_first;
+      Stages.read_done ctx ~t_first:(Protocol.first_byte_ns reader);
       let id, decoded =
         match !rev with
         | Protocol.V1 -> (0, Protocol.request_of_payload payload)
@@ -270,7 +267,7 @@ let worker_loop t =
            check above and conn_track, in which case it never saw this
            fd: re-check and shut the read side down ourselves
            (mirroring initiate_stop) so the worker cannot park in
-           read_frame past the stop. Any response already in flight
+           a frame read past the stop. Any response already in flight
            still goes out; the reader just sees EOF next. *)
         if Atomic.get t.stopping then
           (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
@@ -287,6 +284,55 @@ let worker_loop t =
       continue := false
   done;
   Backend.unregister h
+
+(* One flight-recorder lane per domain a serving process runs: the
+   main domain, the [workers] that [start] spawns and, with [metrics],
+   the Metrics_server domain, rounded up to the power of two
+   [Trace.create] would use. OCaml numbers domains 0, 1, 2, ... and
+   never reuses an id, so in such a process every lane keeps exactly
+   one writer, which the ring's plain stores rely on. A domain added
+   to [serve] must be counted here. *)
+let trace_lanes ~workers ~metrics =
+  Nbhash_util.Bits.next_pow2 (1 + workers + if metrics then 1 else 0)
+
+(* Peak resident set size from /proc/self/status; NaN where that file
+   or its VmHWM line is absent, which the gauge registry drops. *)
+let peak_rss_bytes () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> Float.nan
+  | status ->
+    List.find_map
+      (fun line ->
+        match String.split_on_char ':' line with
+        | [ "VmHWM"; v ] ->
+          Scanf.sscanf_opt (String.trim v) "%d kB" (fun kb ->
+              float_of_int (kb * 1024))
+        | _ -> None)
+      (String.split_on_char '\n' status)
+    |> Option.value ~default:Float.nan
+
+(* The process's memory, split for attribution on /metrics: the
+   flight recorder's fixed rings, the OCaml major heap now and at its
+   peak, and the peak resident set, which also counts the runtime,
+   the minor heaps and the code. *)
+let memory_gauges ~recorder_bytes =
+  let word = float_of_int (Sys.word_size / 8) in
+  List.iter
+    (fun (name, help, read) -> ignore (Tm.Gauge.register ~name ~help read))
+    [
+      ( "nbhash_trace_recorder_bytes",
+        "Flight-recorder ring memory, bytes (lanes x capacity x 4 words)",
+        fun () -> float_of_int recorder_bytes );
+      ( "nbhash_gc_heap_bytes",
+        "OCaml major heap size, bytes",
+        fun () -> float_of_int (Gc.quick_stat ()).heap_words *. word );
+      ( "nbhash_gc_top_heap_bytes",
+        "Largest OCaml major heap size so far, bytes",
+        fun () -> float_of_int (Gc.quick_stat ()).top_heap_words *. word );
+      ( "nbhash_process_peak_rss_bytes",
+        "Peak resident set size (VmHWM), bytes",
+        peak_rss_bytes );
+    ]
 
 let start ?(config = default_config) () =
   if config.shards < 1 then invalid_arg "Server.start: shards < 1";

@@ -87,7 +87,7 @@ let op_hists =
 
 type t = {
   mutable enabled : bool;
-  mutable t_first : int;  (* first prefix byte arrived *)
+  mutable t_first : int;  (* the frame's first byte was received *)
   mutable t_read : int;  (* frame fully buffered *)
   mutable t_decode : int;  (* request decoded *)
   mutable t_shard : int;  (* backend operation returned *)

@@ -206,6 +206,196 @@ let test_framed_io () =
   Unix.close a;
   Unix.close b
 
+(* --- the server's buffered frame reader --- *)
+
+let frame_bytes payload =
+  let n = String.length payload in
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  Bytes.unsafe_to_string b
+
+(* Write [stream] into a fresh socketpair in pieces of the given sizes
+   (cycled) from another domain, then shut the write side; [read] is
+   called on the other end until it answers EOF or an error. The rest
+   of the stream is drained before closing, so the writer never sees
+   EPIPE. *)
+let frames_through ~chunks stream (read : Unix.file_descr -> unit -> 'r)
+    ~stop =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let chunks = Array.of_list chunks in
+  let writer =
+    Domain.spawn (fun () ->
+        let n = String.length stream in
+        let off = ref 0 and i = ref 0 in
+        while !off < n do
+          let want = min chunks.(!i mod Array.length chunks) (n - !off) in
+          incr i;
+          off := !off + Unix.write_substring a stream !off want
+        done;
+        Unix.shutdown a Unix.SHUTDOWN_SEND)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      let scratch = Bytes.create 65536 in
+      while Unix.read b scratch 0 65536 > 0 do
+        ()
+      done;
+      Domain.join writer;
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let next = read b in
+      let rec go acc =
+        let r = next () in
+        if stop r then List.rev (r :: acc) else go (r :: acc)
+      in
+      go [])
+
+let reader_max_frame = 65536
+
+let frame_done = function Result.Ok (Some _) -> false | _ -> true
+
+(* Read with the buffered reader, checking after every frame that the
+   buffer is back at its initial capacity. *)
+let via_reader ~timed fd =
+  let r = P.reader ~max_frame:reader_max_frame fd in
+  fun () ->
+    let res = P.next_frame ~timed r in
+    if (not (frame_done res)) && P.buffer_capacity r <> P.reader_capacity then
+      Alcotest.failf "buffer left at %d bytes" (P.buffer_capacity r);
+    res
+
+let via_read_frame fd () = P.read_frame ~max_frame:reader_max_frame fd
+
+(* Piece sizes: single bytes, a few bytes, and writes large enough to
+   carry several frames at once. *)
+let gen_chunks =
+  QCheck2.Gen.(
+    list_size (int_range 1 8)
+      (oneof [ return 1; int_range 1 16; int_range 1 20_000 ]))
+
+let gen_sized_payload =
+  QCheck2.Gen.(
+    map2
+      (fun k n -> P.request_to_payload (P.Put (k, String.make n 'v')))
+      gen_key
+      (oneof [ int_range 0 64; int_range 0 5000 ]))
+
+(* v1 requests, HELLO, then v2 requests (id spliced after the opcode)
+   — the byte stream a negotiating client sends — with one payload of
+   exactly [max_frame] bytes somewhere. *)
+let gen_session =
+  QCheck2.Gen.(
+    let* v1 = list_size (int_range 0 6) gen_sized_payload in
+    let* v2 = list_size (int_range 0 6) gen_sized_payload in
+    let* big_at = int_bound (List.length v1 + List.length v2) in
+    let v2 =
+      List.mapi
+        (fun i p ->
+          let id = Printf.sprintf "%c\x00\x00%c" (Char.chr i) (Char.chr i) in
+          String.make 1 p.[0] ^ id ^ String.sub p 1 (String.length p - 1))
+        v2
+    in
+    let big =
+      P.request_to_payload (P.Put (1, String.make (reader_max_frame - 9) 'B'))
+    in
+    let frames = v1 @ [ P.request_to_payload P.Hello ] @ v2 in
+    let frames =
+      List.concat
+        (List.mapi (fun i f -> if i = big_at then [ big; f ] else [ f ]) frames)
+    in
+    pair (return frames) gen_chunks)
+
+let prop_reader_frames =
+  QCheck2.Test.make ~name:"buffered reader returns the frames in order"
+    ~count:60 (QCheck2.Gen.pair gen_session QCheck2.Gen.bool)
+    (fun ((frames, chunks), timed) ->
+      let stream = String.concat "" (List.map frame_bytes frames) in
+      let got =
+        frames_through ~chunks stream (via_reader ~timed) ~stop:frame_done
+      in
+      got
+      = List.map (fun f -> Result.Ok (Some f)) frames @ [ Result.Ok None ])
+
+(* A stream that ends mid-prefix or mid-body, or declares a zero,
+   negative or oversized length: the reader gives exactly what
+   [read_frame] gives, frame for frame, error text included. *)
+let gen_broken_stream =
+  QCheck2.Gen.(
+    let* frames = list_size (int_range 0 4) gen_sized_payload in
+    let whole = String.concat "" (List.map frame_bytes frames) in
+    let* tail =
+      oneof
+        [
+          map
+            (fun p ->
+              let f = frame_bytes p in
+              String.sub f 0 (max 1 (String.length f / 2)))
+            gen_sized_payload;
+          map (fun n -> String.sub "\x00\x00\x00" 0 n) (int_range 1 3);
+          return "\x00\x00\x00\x00junk";
+          return "\xff\xff\xff\xfejunk";
+          return (frame_bytes (String.make (reader_max_frame + 1) 'x'));
+        ]
+    in
+    pair (return (whole ^ tail)) gen_chunks)
+
+let prop_reader_errors =
+  QCheck2.Test.make ~name:"buffered reader errors match read_frame" ~count:100
+    gen_broken_stream (fun (stream, chunks) ->
+      let reference =
+        frames_through ~chunks stream via_read_frame ~stop:frame_done
+      in
+      let got =
+        frames_through ~chunks stream (via_reader ~timed:true) ~stop:frame_done
+      in
+      (match List.rev reference with
+      | Result.Error _ :: _ -> ()
+      | _ -> QCheck2.Test.fail_report "the stream is not broken");
+      got = reference)
+
+(* Frames that one write delivered are served from the buffer: no
+   further read (the socket is non-blocking by then, so a read would
+   raise EAGAIN) and no allocation but the payload and its
+   [Ok (Some _)]. *)
+let test_reader_buffered_frames () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let payload = String.make 100 'p' in
+      let stream = String.concat "" (List.init 4 (fun _ -> frame_bytes payload)) in
+      ignore (Unix.write_substring a stream 0 (String.length stream));
+      let r = P.reader b in
+      let expect_payload timed =
+        match P.next_frame ~timed r with
+        | Result.Ok (Some p) when p = payload -> ()
+        | _ -> Alcotest.fail "buffered frame not returned"
+      in
+      expect_payload true;
+      Unix.set_nonblock b;
+      let words timed =
+        let before = Gc.minor_words () in
+        expect_payload timed;
+        Gc.minor_words () -. before
+      in
+      let payload_words = float_of_int (1 + ((100 + 8) / 8)) in
+      List.iter
+        (fun timed ->
+          let w = words timed in
+          if w > payload_words +. 4. then
+            Alcotest.failf "a buffered frame allocated %.0f words (payload %.0f)"
+              w payload_words)
+        [ false; true; false ];
+      Unix.clear_nonblock b;
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      match P.next_frame ~timed:false r with
+      | Result.Ok None -> ()
+      | _ -> Alcotest.fail "EOF after the buffered frames not clean")
+
 (* --- malformed frames against a live server --- *)
 
 let with_server ~kind f =
@@ -362,6 +552,10 @@ let suite =
         QCheck_alcotest.to_alcotest prop_v2_roundtrip;
         Alcotest.test_case "codec edges" `Quick test_codec_edges;
         Alcotest.test_case "framed io" `Quick test_framed_io;
+        QCheck_alcotest.to_alcotest prop_reader_frames;
+        QCheck_alcotest.to_alcotest prop_reader_errors;
+        Alcotest.test_case "buffered frames cost no read" `Quick
+          test_reader_buffered_frames;
         Alcotest.test_case "malformed frames, live server" `Quick
           test_malformed_against_server;
         Alcotest.test_case "v2 negotiation and id echo" `Quick

@@ -532,6 +532,113 @@ let test_capture_alloc_bounded () =
         (Format.asprintf "%a" (Trace.dump_tail ~n:Slowlog.tail_records) tr)
         rendered)
 
+(* The shipped `serve` sizes its flight recorder to its domains: the
+   main domain, two workers and the metrics domain get one lane each
+   of four, so no two writers share a lane and no record tears. Run as
+   a child process, the way the benchmark runs it. *)
+let serve_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/nbhash_cli.exe"
+
+(* `serve` announces "... on ADDR:PORT" for KV, then metrics. *)
+let read_ports fd =
+  let ic = Unix.in_channel_of_descr fd in
+  let port_of line = int_of_string (List.hd (List.rev (String.split_on_char ':' line))) in
+  let kv = port_of (input_line ic) in
+  let metrics_line = input_line ic in
+  let metrics =
+    port_of (String.sub metrics_line 0 (String.rindex metrics_line '/'))
+  in
+  (kv, metrics)
+
+let reap_within pid seconds =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.01;
+      go ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      false
+    | _, status -> status = Unix.WEXITED 0
+  in
+  go ()
+
+let test_serve_lane_ownership () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process serve_exe [| serve_exe; "serve" |] Unix.stdin w
+      Unix.stderr
+  in
+  Unix.close w;
+  let alive = ref true in
+  Fun.protect
+    ~finally:(fun () ->
+      if !alive then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end;
+      Unix.close r)
+    (fun () ->
+      let port, metrics_port = read_ports r in
+      let conns = [ client port; client port ] in
+      for k = 1 to 200 do
+        List.iteri
+          (fun i fd ->
+            match rpc fd (P.Put ((2 * k) + i, "v")) with
+            | P.Ok -> ()
+            | _ -> Alcotest.fail "put")
+          conns
+      done;
+      let get path =
+        match Nbhash_telemetry.Metrics_server.http_get ~port:metrics_port path with
+        | Ok (200, body) -> body
+        | Ok (code, _) -> Alcotest.failf "%s answered %d" path code
+        | Error msg -> Alcotest.failf "%s: %s" path msg
+      in
+      let metrics = get "/metrics" in
+      let sample name =
+        match
+          List.find_opt
+            (fun l -> String.starts_with ~prefix:(name ^ " ") l)
+            (String.split_on_char '\n' metrics)
+        with
+        | Some l -> float_of_string (List.nth (String.split_on_char ' ' l) 1)
+        | None -> Alcotest.failf "/metrics lacks %s" name
+      in
+      let recorder = sample "nbhash_trace_recorder_bytes" in
+      let lanes = int_of_float recorder / ((1 lsl 14) * 32) in
+      Alcotest.(check int) "one lane per domain: main, 2 workers, metrics" 4
+        lanes;
+      Alcotest.(check (float 0.)) "no torn records" 0.
+        (sample {|nbhash_trace_dropped_total{reason="torn"}|});
+      let events =
+        match J.parse (get "/trace.json") with
+        | Result.Ok doc -> (
+          match Option.bind (J.member "traceEvents" doc) J.to_list with
+          | Some l -> l
+          | None -> Alcotest.fail "/trace.json has no traceEvents")
+        | Result.Error msg -> Alcotest.fail ("/trace.json: " ^ msg)
+      in
+      let domains =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun e -> Option.map int_of_float (Option.bind (J.member "tid" e) J.to_num))
+             events)
+      in
+      Alcotest.(check bool) "both workers traced" true (List.length domains >= 2);
+      Alcotest.(check int) "domain ids distinct modulo the lane count"
+        (List.length domains)
+        (List.length (List.sort_uniq compare (List.map (fun d -> d mod lanes) domains)));
+      (match rpc (List.hd conns) P.Drain with
+      | P.Ok -> ()
+      | _ -> Alcotest.fail "drain");
+      List.iter Unix.close conns;
+      alive := false;
+      Alcotest.(check bool) "serve exits cleanly after DRAIN" true
+        (reap_within pid 10.))
+
 (* --- load generator --- *)
 
 let test_loadgen () =
@@ -646,5 +753,7 @@ let suite =
           test_staged_marks_disabled_no_alloc;
         Alcotest.test_case "capture allocation bounded by its tail" `Quick
           test_capture_alloc_bounded;
+        Alcotest.test_case "serve gives each domain its own trace lane" `Quick
+          test_serve_lane_ownership;
       ] );
   ]
