@@ -14,8 +14,10 @@ let pp_kind ppf = function
   | Ins -> Format.pp_print_string ppf "ins"
   | Rem -> Format.pp_print_string ppf "rem"
 
-(** Operations common to every FSet implementation; the hash-table
-    scaffolding ({!Nbhash.Table_core}) is a functor over this. *)
+(** Operations common to every FSet implementation. The hash-table
+    core ({!Nbhash.Table_core.Make}) is a functor over a bucket layout;
+    {!Nbhash.Table_core.Fset} builds that bucket from any FSet with
+    this signature. *)
 module type CORE = sig
   type t
 

@@ -30,6 +30,7 @@ module Make (K : Hashtbl.HashedType) : sig
   val cardinal : 'v t -> int
   val bindings : 'v t -> (K.t * 'v) list
   val bucket_count : 'v t -> int
+  val resize_stats : 'v t -> Nbhash.Hashset_intf.resize_stats
   val force_resize : 'v handle -> grow:bool -> unit
   val check_invariants : 'v t -> unit
 end

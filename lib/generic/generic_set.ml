@@ -1,6 +1,6 @@
 module Atomic = Nbhash_util.Nb_atomic
 module Policy = Nbhash.Policy
-module Sweep = Nbhash.Sweep
+module Cow_bucket = Nbhash.Cow_bucket
 module Tm = Nbhash_telemetry.Global
 
 (* File-scope so every Make instantiation shares one id per loop. *)
@@ -10,25 +10,26 @@ let site_add = Nbhash_telemetry.Site.register "generic_set/add"
 let site_del = Nbhash_telemetry.Site.register "generic_set/del"
 
 module Make (K : Hashtbl.HashedType) = struct
-  type bslot = Uninit | Node of { elems : K.t array; ok : bool }
-
-  type hnode = {
-    buckets : bslot Atomic.t array;
-    size : int;
-    mask : int;
-    pred : hnode option Atomic.t;
-    sweep : Sweep.t;
-  }
-
-  type t = {
-    head : hnode Atomic.t;
-    policy : Policy.t;
-    count : Policy.Counter.shared;
-  }
-
-  type handle = { table : t; local : Policy.Trigger.local }
-
   let hash k = K.hash k land max_int
+
+  (* The LFArrayOpt layout over [K.t] keys, split by hash bits. *)
+  module Bucket = struct
+    include Cow_bucket
+
+    type 'v elt = K.t
+    type 'v slot = K.t Cow_bucket.t
+
+    let freeze () slots i = freeze_slot site_freeze slots.(i)
+    let hash = hash
+    let same_key = K.equal
+    let split elems = Nbhash.Table_core.split_by hash elems
+    let merge = Array.append
+  end
+
+  module Core = Nbhash.Table_core.Make (Bucket)
+
+  type t = unit Core.t
+  type handle = { table : t; local : Policy.Trigger.local }
 
   let mem_elems elems k =
     let n = Array.length elems in
@@ -52,131 +53,30 @@ module Make (K : Hashtbl.HashedType) = struct
     "copy-on-write: [b] is freshly allocated here and stays private until \
      published by a bucket CAS"]
 
-  let filter_mask elems ~mask ~target =
-    let keep k = hash k land mask = target in
-    let count = Array.fold_left (fun c k -> if keep k then c + 1 else c) 0 elems in
-    if count = Array.length elems then elems
-    else begin
-      let b = ref [] in
-      Array.iter (fun k -> if keep k then b := k :: !b) elems;
-      Array.of_list !b
-    end
-
-  let make_hnode ~size ~pred =
-    {
-      buckets = Array.init size (fun _ -> Atomic.make Uninit);
-      size;
-      mask = size - 1;
-      pred = Atomic.make pred;
-      sweep = Sweep.make ~total:size;
-    }
-
-  let create ?(policy = Policy.default) () =
-    Policy.validate policy;
-    let hn = make_hnode ~size:policy.Policy.init_buckets ~pred:None in
-    Array.iter (fun b -> Atomic.set b (Node { elems = [||]; ok = true })) hn.buckets;
-    { head = Atomic.make hn; policy; count = Policy.Counter.make_shared () }
-
+  let create ?(policy = Policy.default) () = Core.create policy
   let seed = Atomic.make 0x9e1
+
   let register table =
     {
       table;
       local =
-        Policy.Trigger.make_local table.count
+        Policy.Trigger.make_local table.Core.count
           ~seed:(Atomic.fetch_and_add seed 1);
     }
 
   let unregister h = Policy.Trigger.flush h.local
 
-  let rec freeze_slot slot =
-    match Atomic.get slot with
-    | Uninit -> assert false
-    | Node n as cur ->
-      if not n.ok then n.elems
-      else if
-        Atomic.compare_and_set slot cur (Node { elems = n.elems; ok = false })
-      then n.elems
-      else begin
-        Tm.cas_retry site_freeze;
-        freeze_slot slot
-      end
-
-  let slot_elems slot =
-    match Atomic.get slot with Uninit -> assert false | Node n -> n.elems
-
-  let init_bucket hn i =
-    (match (Atomic.get hn.buckets.(i), Atomic.get hn.pred) with
-    | Uninit, Some s ->
-      let elems =
-        if hn.size = s.size * 2 then
-          filter_mask (freeze_slot s.buckets.(i land s.mask)) ~mask:hn.mask
-            ~target:i
-        else
-          Array.append
-            (freeze_slot s.buckets.(i))
-            (freeze_slot s.buckets.(i + hn.size))
-      in
-      ignore
-        (Atomic.compare_and_set hn.buckets.(i) Uninit (Node { elems; ok = true }))
-      [@nbhash.cas_ok
-        "bucket init: racing initializers freeze the same predecessor slots \
-         and build identical contents; the first CAS publishes"]
-    | (Node _ | Uninit), _ -> ());
-    ()
-
-  (* Cooperative sweep hooks (see Nbhash.Sweep and Table_core). *)
-  let sweep_migrate hn i = init_bucket hn i
-  let sweep_complete hn () =
-    Atomic.set hn.pred None
-    [@nbhash.cas_ok
-      "one-way Some -> None: every writer publishes the same final value \
-       once the sweep is complete"]
-
-  let help_migration t hn =
-    let m = t.policy.Policy.migration in
-    if m.Policy.eager && Atomic.get hn.pred <> None then
-      Sweep.help hn.sweep ~chunk:m.Policy.chunk
-        ~max_helpers:m.Policy.max_helpers ~migrate:(sweep_migrate hn)
-        ~on_complete:(sweep_complete hn)
-
-  let resize t grow =
-    let hn = Atomic.get t.head in
-    let within_bounds =
-      if grow then hn.size * 2 <= t.policy.Policy.max_buckets
-      else hn.size / 2 >= t.policy.Policy.min_buckets
-    in
-    if (hn.size > 1 || grow) && within_bounds then begin
-      let m = t.policy.Policy.migration in
-      if m.Policy.eager && Atomic.get hn.pred <> None then
-        Sweep.drain hn.sweep ~chunk:m.Policy.chunk
-          ~migrate:(sweep_migrate hn) ~on_complete:(sweep_complete hn);
-      for i = 0 to hn.size - 1 do
-        init_bucket hn i
-      done;
-      if m.Policy.eager then Sweep.finish hn.sweep;
-      Atomic.set hn.pred None
-      [@nbhash.cas_ok
-      "one-way Some -> None: every writer publishes the same final value \
-       once the sweep is complete"];
-      let size = if grow then hn.size * 2 else hn.size / 2 in
-      let hn' = make_hnode ~size ~pred:(Some hn) in
-      ignore (Atomic.compare_and_set t.head hn hn')
-      [@nbhash.cas_ok
-        "a lost race means another domain already installed a fresh table; \
-         the resize trigger re-fires if more growth is needed"]
-    end
-
   type kind = Add | Del
 
   let rec run_op t kind k h =
-    let hn = Atomic.get t.head in
-    let i = h land hn.mask in
-    let slot = hn.buckets.(i) in
+    let hn = Atomic.get t.Core.head in
+    let i = h land hn.Core.mask in
+    let slot = hn.Core.buckets.(i) in
     match Atomic.get slot with
-    | Uninit ->
-      init_bucket hn i;
+    | Cow_bucket.Uninit ->
+      Core.init_bucket hn i;
       run_op t kind k h
-    | Node n as cur ->
+    | Cow_bucket.Node n as cur ->
       if not n.ok then begin
         Tm.cas_retry site_stale;
         run_op t kind k h
@@ -188,7 +88,7 @@ module Make (K : Hashtbl.HashedType) = struct
           if present then false
           else if
             Atomic.compare_and_set slot cur
-              (Node { elems = add_elems n.elems k; ok = true })
+              (Cow_bucket.Node { elems = add_elems n.elems k; ok = true })
           then true
           else begin
             Tm.cas_retry site_add;
@@ -198,7 +98,7 @@ module Make (K : Hashtbl.HashedType) = struct
           if not present then false
           else if
             Atomic.compare_and_set slot cur
-              (Node { elems = remove_elems n.elems k; ok = true })
+              (Cow_bucket.Node { elems = remove_elems n.elems k; ok = true })
           then true
           else begin
             Tm.cas_retry site_del;
@@ -206,104 +106,34 @@ module Make (K : Hashtbl.HashedType) = struct
           end
       end
 
-  let slot_size slot =
-    match Atomic.get slot with
-    | Uninit -> 0
-    | Node n -> Array.length n.elems
-
-  let after_add h hk ~resp =
-    Policy.Trigger.note_insert h.local ~resp;
-    let hn = Atomic.get h.table.head in
-    help_migration h.table hn;
-    if
-      Policy.Trigger.want_grow h.table.policy h.local ~cur_buckets:hn.size
-        ~migrating:(Atomic.get hn.pred <> None)
-        ~inserted_bucket_size:(fun () -> slot_size hn.buckets.(hk land hn.mask))
-    then resize h.table true
-
-  let after_del h ~resp =
-    Policy.Trigger.note_remove h.local ~resp;
-    let hn = Atomic.get h.table.head in
-    help_migration h.table hn;
-    if
-      Policy.Trigger.want_shrink h.table.policy h.local ~cur_buckets:hn.size
-        ~migrating:(Atomic.get hn.pred <> None)
-        ~sample_bucket_size:(fun i -> slot_size hn.buckets.(i))
-    then resize h.table false
-
   let add h k =
     let hk = hash k in
     let resp = run_op h.table Add k hk in
-    after_add h hk ~resp;
+    Core.after_insert h.table h.local ~key:hk ~resp;
     resp
 
   let remove h k =
     let resp = run_op h.table Del k (hash k) in
-    after_del h ~resp;
+    Core.after_remove h.table h.local ~resp;
     resp
 
   let mem h k =
-    let t = h.table in
-    let hn = Atomic.get t.head in
-    let i = hash k land hn.mask in
-    match Atomic.get hn.buckets.(i) with
-    | Node n -> mem_elems n.elems k
-    | Uninit -> (
-      match Atomic.get hn.pred with
-      | Some s -> mem_elems (slot_elems s.buckets.(hash k land s.mask)) k
-      | None -> mem_elems (slot_elems hn.buckets.(i)) k)
+    let hn = Atomic.get h.table.Core.head in
+    let i = hash k land hn.Core.mask in
+    match Atomic.get hn.Core.buckets.(i) with
+    | Cow_bucket.Node n -> mem_elems n.elems k
+    | Cow_bucket.Uninit ->
+      let slot =
+        match Atomic.get hn.Core.pred with
+        | Some s -> s.Core.buckets.(hash k land s.Core.mask)
+        | None -> hn.Core.buckets.(i)
+      in
+      mem_elems (Cow_bucket.contents (Atomic.get slot)) k
 
-  let bucket_count t = (Atomic.get t.head).size
-  let force_resize h ~grow = resize h.table grow
-
-  let bucket_set hn i =
-    match Atomic.get hn.buckets.(i) with
-    | Node n -> n.elems
-    | Uninit -> (
-      match Atomic.get hn.pred with
-      | Some s ->
-        if hn.size = s.size * 2 then
-          filter_mask
-            (slot_elems s.buckets.(i land s.mask))
-            ~mask:hn.mask ~target:i
-        else
-          Array.append
-            (slot_elems s.buckets.(i))
-            (slot_elems s.buckets.(i + hn.size))
-      | None -> slot_elems hn.buckets.(i))
-
-  let elements t =
-    let hn = Atomic.get t.head in
-    List.concat_map
-      (fun i -> Array.to_list (bucket_set hn i))
-      (List.init hn.size Fun.id)
-
-  let cardinal t = List.length (elements t)
-
-  let fail fmt = Format.kasprintf failwith fmt
-
-  let check_invariants t =
-    let hn = Atomic.get t.head in
-    Array.iteri
-      (fun i b ->
-        match Atomic.get b with
-        | Uninit -> (
-          match Atomic.get hn.pred with
-          | None -> fail "bucket %d uninit without predecessor" i
-          | Some _ -> ())
-        | Node n ->
-          Array.iter
-            (fun k ->
-              if hash k land hn.mask <> i then
-                fail "key hashed to %d misplaced in bucket %d" (hash k) i)
-            n.elems)
-      hn.buckets;
-    let all = elements t in
-    List.iteri
-      (fun i k ->
-        List.iteri
-          (fun j k' ->
-            if i < j && K.equal k k' then fail "duplicate key at %d/%d" i j)
-          all)
-      all
+  let elements t = Array.to_list (Core.elements t)
+  let cardinal = Core.cardinal
+  let bucket_count = Core.bucket_count
+  let resize_stats = Core.resize_stats
+  let force_resize h ~grow = Core.resize h.table grow
+  let check_invariants = Core.check_invariants
 end

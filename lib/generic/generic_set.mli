@@ -29,6 +29,7 @@ module Make (K : Hashtbl.HashedType) : sig
   val cardinal : t -> int
   val elements : t -> K.t list
   val bucket_count : t -> int
+  val resize_stats : t -> Nbhash.Hashset_intf.resize_stats
   val force_resize : handle -> grow:bool -> unit
   val check_invariants : t -> unit
 end

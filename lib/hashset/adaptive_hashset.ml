@@ -88,7 +88,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
   let check_invariants t = W.Core.check_invariants t.w.W.core
 
   let inspect t =
-    W.Core.inspect_with t.w.W.core
+    W.Core.inspect t.w.W.core
       ~announce_pending:(Array.length (W.announced t.w))
 
   let pending_ops t = W.announced t.w

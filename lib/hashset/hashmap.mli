@@ -40,6 +40,7 @@ val cardinal : 'v t -> int
 (** Exact only in quiescent states. *)
 
 val bucket_count : 'v t -> int
+val resize_stats : 'v t -> Hashset_intf.resize_stats
 val force_resize : 'v handle -> grow:bool -> unit
 
 val bucket_sizes : 'v t -> int array

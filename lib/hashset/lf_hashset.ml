@@ -1,11 +1,11 @@
 module Atomic = Nbhash_util.Nb_atomic
 
 module Make (F : Nbhash_fset.Fset_intf.S) : Hashset_intf.S = struct
-  module Core = Table_core.Make (F)
+  module Core = Table_core.Fset (F)
   module Tm = Nbhash_telemetry.Global
   module Ev = Nbhash_telemetry.Event
 
-  type t = Core.t
+  type t = unit Core.t
   type handle = { table : t; local : Policy.Trigger.local }
 
   let name = "LF" ^ String.capitalize_ascii F.id
@@ -62,6 +62,6 @@ module Make (F : Nbhash_fset.Fset_intf.S) : Hashset_intf.S = struct
   let cardinal = Core.cardinal
   let elements = Core.elements
   let check_invariants = Core.check_invariants
-  let inspect t = Core.inspect_with t ~announce_pending:0
+  let inspect t = Core.inspect t ~announce_pending:0
   let pending_ops _ = [||]
 end

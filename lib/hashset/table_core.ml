@@ -1,37 +1,125 @@
-(** The HNode scaffolding shared by the lock-free and wait-free hash
-    sets (Figure 2 of the paper, minus APPLY): the versioned bucket
-    array, lazy bucket initialization by freeze-and-migrate
-    ([init_bucket], lines 38-51), the RESIZE operation (lines 19-28),
-    and CONTAINS (lines 11-18).
+(** The HNode scaffolding shared by every resizable table (Figure 2 of
+    the paper, minus APPLY and CONTAINS): the versioned bucket array,
+    lazy bucket initialization by freeze-and-migrate ([init_bucket],
+    lines 38-51), the cooperative sweep, the RESIZE operation (lines
+    19-28), the policy hooks, the refinement mapping of Figure 3, and
+    the structural checks.
 
     A table is a list of HNodes of length at most two: [head] and, while
     a resize is being absorbed, [head]'s predecessor. Bucket [i] of the
-    head starts out nil and is initialized on first touch by freezing
-    the corresponding predecessor bucket(s) and copying the split
-    (grow) or merged (shrink) keys. Freezing first is what lets keys
-    move without loss or duplication: the frozen buckets remain the
-    logical truth (the refinement mapping of Figure 3) until the new
-    bucket is installed by CAS, an abstract-state-preserving step. *)
+    head starts out uninitialized and is initialized on first touch by
+    freezing the corresponding predecessor bucket(s) and copying the
+    split (grow) or merged (shrink) entries. Freezing first is what lets
+    entries move without loss or duplication: the frozen buckets remain
+    the logical truth (the refinement mapping of Figure 3) until the new
+    bucket is installed by CAS, an abstract-state-preserving step.
+
+    The core is a functor over the bucket ({!BUCKET}): what one slot of
+    the bucket array holds and how it freezes. The variants keep their
+    own operation paths (APPLY, CONTAINS, the announce arrays) and read
+    the records below directly, so their hot paths make no call through
+    the functor. *)
 
 module Atomic = Nbhash_util.Nb_atomic
 
-module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
+(** One bucket layout. A slot is the value held by one atomic of the
+    bucket array; its entries are keys for sets and (key, value) pairs
+    for maps, and ['v] is the map's value type (unused by sets). *)
+module type BUCKET = sig
+  type 'v slot
+  type 'v elt
+
+  type side
+  (** Per-HNode state kept beside the slots, made by {!make_side}: the
+      wait-free layouts' per-bucket freeze-intent flags, [unit] for the
+      others. *)
+
+  val uninit : 'v slot
+  (** The nil bucket. A constant: the core tests a slot against it
+      physically. *)
+
+  val make_side : int -> side
+  (** [make_side size] for a fresh HNode of [size] buckets. *)
+
+  val build : 'v elt array -> 'v slot
+  (** A fresh mutable bucket holding the given entries (pairwise
+      distinct keys; ownership of the array is taken). *)
+
+  val freeze : side -> 'v slot Atomic.t array -> int -> 'v elt array
+  (** [freeze side slots i] renders initialized bucket [i] of a
+      predecessor HNode immutable and returns its final entries.
+      Idempotent; every caller gets the same entries. *)
+
+  val split : 'v elt array -> mask:int -> target:int -> 'v elt array
+  (** The entries whose {!hash} land [mask] is [target]. *)
+
+  val merge : 'v elt array -> 'v elt array -> 'v elt array
+  (** Union of two key-disjoint entry arrays. *)
+
+  val size : 'v slot -> int
+  (** Entry count of an initialized slot, for the resize policy. *)
+
+  val contents : 'v slot -> 'v elt array
+  (** Logical entries of an initialized slot, including the effect of
+      a linearized but unfinished operation. *)
+
+  val is_frozen : 'v slot -> bool
+  (** Of an initialized slot. *)
+
+  val hash : 'v elt -> int
+  (** The non-negative hash that places an entry: bucket [hash e land
+      mask]. *)
+
+  val same_key : 'v elt -> 'v elt -> bool
+end
+
+(* Integer keys, as every set variant stores them. *)
+module Int_keys = struct
+  type 'v elt = int
+
+  let split = Nbhash_fset.Intset.filter_mask
+  let merge = Nbhash_fset.Intset.disjoint_union
+  let hash k = k
+  let same_key = Int.equal
+end
+
+(* [split] for any entry type, given its [hash]. Keeps [elems] itself
+   when every entry stays. *)
+let split_by hash elems ~mask ~target =
+  let keep e = hash e land mask = target in
+  let count = Array.fold_left (fun c e -> if keep e then c + 1 else c) 0 elems in
+  if count = Array.length elems then elems
+  else begin
+    let kept = ref [] in
+    for j = Array.length elems - 1 downto 0 do
+      if keep elems.(j) then kept := elems.(j) :: !kept
+    done;
+    Array.of_list !kept
+  end
+
+module Make (B : BUCKET) = struct
   module Tm = Nbhash_telemetry.Global
   module Ev = Nbhash_telemetry.Event
 
-  type hnode = {
-    buckets : F.t option Atomic.t array;
+  type 'v hnode = {
+    buckets : 'v B.slot Atomic.t array;
+    side : B.side;
     size : int;
     mask : int;
-    pred : hnode option Atomic.t;
+    pred : 'v hnode option Atomic.t;
     sweep : Sweep.t;
         (* chunk cursor for the cooperative migration of THIS HNode's
            buckets out of [pred]; unused (and never claimed from) on
            HNodes created without a predecessor *)
+    bucket_size : int -> int;
+        (* current size of bucket [i], 0 while uninitialized (forcing
+           its migration just to measure it would defeat laziness): the
+           resize policy's probe, made once per HNode so that the update
+           hooks allocate no closure for it *)
   }
 
-  type t = {
-    head : hnode Atomic.t;
+  type 'v t = {
+    head : 'v hnode Atomic.t;
     policy : Policy.t;
     count : Policy.Counter.shared;  (* approximate, for Load_factor *)
     grows : int Atomic.t;
@@ -39,21 +127,27 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
   }
 
   let make_hnode ~size ~pred =
+    let buckets = Array.init size (fun _ -> Atomic.make B.uninit) in
     {
-      buckets = Array.init size (fun _ -> Atomic.make None);
+      buckets;
+      side = B.make_side size;
       size;
       mask = size - 1;
       pred = Atomic.make pred;
       sweep = Sweep.make ~total:size;
+      bucket_size =
+        (fun i ->
+          let b = Atomic.get buckets.(i) in
+          if b == B.uninit then 0 else B.size b);
     }
 
   (* Unlike the paper's one-bucket initial table, a fresh table may be
-     presized; every bucket of a pred-less HNode must be non-nil
+     presized; every bucket of a pred-less HNode must be initialized
      (Invariant 11), so initialize them all. *)
   let create policy =
     Policy.validate policy;
     let hn = make_hnode ~size:policy.Policy.init_buckets ~pred:None in
-    Array.iter (fun b -> Atomic.set b (Some (F.create [||]))) hn.buckets;
+    Array.iter (fun b -> Atomic.set b (B.build [||])) hn.buckets;
     {
       head = Atomic.make hn;
       policy;
@@ -62,72 +156,51 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
       shrinks = Atomic.make 0;
     }
 
-  (* Predecessor buckets are never nil (Invariant 12: a resize
-     initializes every bucket before publishing the new HNode). *)
-  let pred_bucket s j =
-    match Atomic.get s.buckets.(j) with
-    | Some b -> b
-    | None -> assert false
+  let migrating hn = Atomic.get hn.pred != None
 
   (* Initialize bucket [i] of [hn] from its predecessor bucket(s):
-     freeze them, then split or merge their keys. The CAS publishes
+     freeze them, then split or merge their entries. The CAS publishes
      the new bucket; losing the race to a helping thread is fine — the
-     final re-read returns whoever won. *)
+     caller re-reads the slot and finds whoever won. *)
   let init_bucket hn i =
-    (match (Atomic.get hn.buckets.(i), Atomic.get hn.pred) with
-    | None, Some s ->
-      let elems =
-        if hn.size = s.size * 2 then
-          let m = pred_bucket s (i land s.mask) in
-          Nbhash_fset.Intset.filter_mask (F.freeze m) ~mask:hn.mask ~target:i
-        else begin
-          let m = pred_bucket s i in
-          let n = pred_bucket s (i + hn.size) in
-          Nbhash_fset.Intset.disjoint_union (F.freeze m) (F.freeze n)
+    if Atomic.get hn.buckets.(i) == B.uninit then
+      match Atomic.get hn.pred with
+      | Some s ->
+        let elems =
+          if hn.size = s.size * 2 then
+            B.split (B.freeze s.side s.buckets (i land s.mask)) ~mask:hn.mask
+              ~target:i
+          else
+            B.merge
+              (B.freeze s.side s.buckets i)
+              (B.freeze s.side s.buckets (i + hn.size))
+        in
+        if Atomic.compare_and_set hn.buckets.(i) B.uninit (B.build elems)
+        then begin
+          (* Only the installing thread accounts the migration, so the
+             keys_migrated total equals the table cardinality after one
+             full migration even when helpers race. *)
+          Tm.emit_arg Ev.Bucket_init i;
+          Tm.add Ev.Keys_migrated (Array.length elems)
         end
-      in
-      if Atomic.compare_and_set hn.buckets.(i) None (Some (F.create elems))
-      then begin
-        (* Only the installing thread accounts the migration, so the
-           keys_migrated total equals the table cardinality after one
-           full migration even when helpers race. *)
-        Tm.emit_arg Ev.Bucket_init i;
-        Tm.add Ev.Keys_migrated (Array.length elems)
-      end
-    | (Some _ | None), _ -> ());
-    match Atomic.get hn.buckets.(i) with
-    | Some b -> b
-    | None ->
-      (* buckets.(i) = nil together with pred = nil cannot happen
-         (Invariant 11): pred is cleared only after every bucket is
-         initialized, and buckets never return to nil. *)
-      assert false
-
-  (* Locate (initializing if needed) the bucket of [hn] that owns key
-     [k]. *)
-  let bucket_for hn k =
-    let i = k land hn.mask in
-    match Atomic.get hn.buckets.(i) with
-    | Some b -> b
-    | None -> init_bucket hn i
+      | None -> ()
 
   (* Cooperative sweep plumbing: migrating bucket [i] is exactly the
      idempotent lazy step, and completing the sweep discharges
      Invariant 11's condition for cutting the predecessor loose
      early. *)
-  let sweep_migrate hn i = ignore (init_bucket hn i)
   let sweep_complete hn () = Atomic.set hn.pred None
 
   (* One helping step on the way through a migrating table: claim (at
-     most) one chunk of nil buckets of the head and migrate it. Called
-     from the update-path policy hooks, so every active writer chips
-     in instead of leaving the whole rehash to whoever faults on a nil
-     bucket. *)
+     most) one chunk of uninitialized buckets of the head and migrate
+     it. Called from the update-path policy hooks, so every active
+     writer chips in instead of leaving the whole rehash to whoever
+     faults on an uninitialized bucket. *)
   let help_migration t hn =
     let m = t.policy.Policy.migration in
-    if m.Policy.eager && Atomic.get hn.pred <> None then
+    if m.Policy.eager && migrating hn then
       Sweep.help hn.sweep ~chunk:m.Policy.chunk
-        ~max_helpers:m.Policy.max_helpers ~migrate:(sweep_migrate hn)
+        ~max_helpers:m.Policy.max_helpers ~migrate:(init_bucket hn)
         ~on_complete:(sweep_complete hn)
 
   (* RESIZE: force full migration into the head HNode, cut the
@@ -148,11 +221,11 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
     if (hn.size > 1 || grow) && within_bounds then begin
       let start_ns = Tm.span_begin Ev.Resize_span in
       let m = t.policy.Policy.migration in
-      if m.Policy.eager && Atomic.get hn.pred <> None then
+      if m.Policy.eager && migrating hn then
         Sweep.drain hn.sweep ~chunk:m.Policy.chunk
-          ~migrate:(sweep_migrate hn) ~on_complete:(sweep_complete hn);
+          ~migrate:(init_bucket hn) ~on_complete:(sweep_complete hn);
       for i = 0 to hn.size - 1 do
-        ignore (init_bucket hn i)
+        init_bucket hn i
       done;
       if m.Policy.eager then Sweep.finish hn.sweep;
       Atomic.set hn.pred None
@@ -174,26 +247,6 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
         Tm.span_abort Ev.Resize_span
     end
 
-  (* CONTAINS: search the head bucket; if it is uninitialized, search
-     through the predecessor instead — unless the predecessor vanished
-     meanwhile, in which case the head bucket must have been
-     initialized and is re-read (lines 14-17). *)
-  let contains t k =
-    let hn = Atomic.get t.head in
-    match Atomic.get hn.buckets.(k land hn.mask) with
-    | Some b -> F.has_member b k
-    | None ->
-      Tm.emit_arg Ev.Contains_pred k;
-      let b =
-        match Atomic.get hn.pred with
-        | Some s -> pred_bucket s (k land s.mask)
-        | None -> (
-          match Atomic.get hn.buckets.(k land hn.mask) with
-          | Some b -> b
-          | None -> assert false)
-      in
-      F.has_member b k
-
   let bucket_count t = (Atomic.get t.head).size
 
   let resize_stats t =
@@ -202,22 +255,16 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
       shrinks = Atomic.get t.shrinks;
     }
 
-  (* Current size of bucket [i] of [hn]; uninitialized buckets report 0
-     (forcing their migration just to measure them would defeat
-     laziness). *)
-  let bucket_size_at hn i =
-    match Atomic.get hn.buckets.(i) with None -> 0 | Some b -> F.size b
-
-  (* Policy plumbing shared by the table implementations built on this
-     core. *)
+  (* Policy plumbing: every update ends here. [key] is the hash that
+     placed the update's entry. *)
   let after_insert t local ~key ~resp =
     Policy.Trigger.note_insert local ~resp;
     let hn = Atomic.get t.head in
     help_migration t hn;
     if
       Policy.Trigger.want_grow t.policy local ~cur_buckets:hn.size
-        ~migrating:(Atomic.get hn.pred <> None)
-        ~inserted_bucket_size:(fun () -> bucket_size_at hn (key land hn.mask))
+        ~migrating:(migrating hn)
+        ~inserted_bucket_size:(fun () -> hn.bucket_size (key land hn.mask))
     then resize t true
 
   let after_remove t local ~resp =
@@ -226,75 +273,81 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
     help_migration t hn;
     if
       Policy.Trigger.want_shrink t.policy local ~cur_buckets:hn.size
-        ~migrating:(Atomic.get hn.pred <> None)
-        ~sample_bucket_size:(bucket_size_at hn)
+        ~migrating:(migrating hn) ~sample_bucket_size:hn.bucket_size
     then resize t false
 
+  (* Contents of a bucket known to be initialized: any predecessor
+     bucket (Invariant 12: a resize initializes every bucket before
+     publishing the new HNode), or a head bucket once the predecessor
+     is gone (Invariant 11). *)
+  let contents_at hn j = B.contents (Atomic.get hn.buckets.(j))
+
   (* The refinement mapping of Figure 3, reified: BuckSet(t, i) is the
-     bucket's own elements when initialized, and the split/merge of
-     the predecessor's elements otherwise. Exact in quiescent
-     states. *)
+     bucket's own entries when initialized, and the split/merge of the
+     predecessor's entries otherwise. If the predecessor vanished
+     meanwhile, the bucket has been initialized (Invariant 11) and is
+     re-read. Exact in quiescent states. *)
   let bucket_set hn i =
-    match Atomic.get hn.buckets.(i) with
-    | Some b -> F.elements b
-    | None -> (
+    let b = Atomic.get hn.buckets.(i) in
+    if b != B.uninit then B.contents b
+    else
       match Atomic.get hn.pred with
       | Some s ->
         if hn.size = s.size * 2 then
-          Nbhash_fset.Intset.filter_mask
-            (F.elements (pred_bucket s (i land s.mask)))
-            ~mask:hn.mask ~target:i
-        else
-          Nbhash_fset.Intset.disjoint_union
-            (F.elements (pred_bucket s i))
-            (F.elements (pred_bucket s (i + hn.size)))
-      | None -> (
-        match Atomic.get hn.buckets.(i) with
-        | Some b -> F.elements b
-        | None -> assert false))
+          B.split (contents_at s (i land s.mask)) ~mask:hn.mask ~target:i
+        else B.merge (contents_at s i) (contents_at s (i + hn.size))
+      | None -> contents_at hn i
+
+  (* [Array.length (bucket_set hn i)], without building the split or
+     merged array of a bucket the migration has not initialised yet. *)
+  let bucket_set_size hn i =
+    let b = Atomic.get hn.buckets.(i) in
+    if b != B.uninit then Array.length (B.contents b)
+    else
+      match Atomic.get hn.pred with
+      | Some s when hn.size = s.size * 2 ->
+        Array.fold_left
+          (fun c e -> if B.hash e land hn.mask = i then c + 1 else c)
+          0
+          (contents_at s (i land s.mask))
+      | Some s ->
+        Array.length (contents_at s i)
+        + Array.length (contents_at s (i + hn.size))
+      | None -> Array.length (contents_at hn i)
 
   let elements t =
     let hn = Atomic.get t.head in
-    let parts = List.init hn.size (bucket_set hn) in
-    Array.concat parts
+    Array.concat (List.init hn.size (bucket_set hn))
 
   let bucket_sizes t =
     let hn = Atomic.get t.head in
-    Array.init hn.size (fun i -> Array.length (bucket_set hn i))
+    Array.init hn.size (bucket_set_size hn)
 
-  let cardinal t = Array.length (elements t)
+  let cardinal t = Array.fold_left ( + ) 0 (bucket_sizes t)
 
   (* Structural health snapshot. [frozen_buckets] counts frozen
-     fsets reachable from the head and its predecessor; the head's own
-     buckets are never frozen (only predecessors freeze), so a
+     buckets reachable from the head and its predecessor; the head's
+     own buckets are never frozen (only predecessors freeze), so a
      quiescent table reports 0. [migration_progress] is the fraction
      of head buckets already initialized — the same quantity the
      resizer's index loop drives to 1. Racy but safe under concurrent
      updates. *)
-  let inspect_with t ~announce_pending =
+  let inspect t ~announce_pending =
     let hn = Atomic.get t.head in
-    let sizes = Array.init hn.size (fun i -> Array.length (bucket_set hn i)) in
+    let sizes = Array.init hn.size (bucket_set_size hn) in
     let initialized = ref 0 in
     let frozen = ref 0 in
-    Array.iter
-      (fun b ->
-        match Atomic.get b with
-        | Some b ->
-          incr initialized;
-          if F.is_frozen b then incr frozen
-        | None -> ())
-      hn.buckets;
+    let scan ~head b =
+      let b = Atomic.get b in
+      if b != B.uninit then begin
+        if head then incr initialized;
+        if B.is_frozen b then incr frozen
+      end
+    in
+    Array.iter (scan ~head:true) hn.buckets;
     let pred = Atomic.get hn.pred in
-    (match pred with
-    | Some s ->
-      Array.iter
-        (fun b ->
-          match Atomic.get b with
-          | Some b -> if F.is_frozen b then incr frozen
-          | None -> ())
-        s.buckets
-    | None -> ());
-    let migrating = pred <> None in
+    Option.iter (fun s -> Array.iter (scan ~head:false) s.buckets) pred;
+    let migrating = Option.is_some pred in
     Hashset_intf.make_view ~sizes ~frozen_buckets:!frozen ~migrating
       ~migration_progress:
         (if migrating then float_of_int !initialized /. float_of_int hn.size
@@ -303,53 +356,99 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
 
   let fail fmt = Format.kasprintf failwith fmt
 
-  (* Structural sanity for quiescent states: key placement, the
-     nil-bucket invariants (11 and 12), frozen-predecessor invariant
-     (13), and duplicate freedom across the whole table. *)
+  (* Structural sanity for quiescent states: entry placement over the
+     whole refinement mapping, the nil-bucket invariants (11 and 12),
+     the frozen-predecessor invariant (13), and key uniqueness. *)
   let check_invariants t =
     let hn = Atomic.get t.head in
     let pred = Atomic.get hn.pred in
+    let initialized b = Atomic.get b != B.uninit in
     (match pred with
     | Some s ->
       if hn.size <> s.size * 2 && hn.size * 2 <> s.size then
         fail "head size %d not double or half of pred size %d" hn.size s.size;
       Array.iteri
-        (fun j b ->
-          if Atomic.get b = None then fail "pred bucket %d is nil" j)
+        (fun j b -> if not (initialized b) then fail "pred bucket %d is nil" j)
         s.buckets
     | None ->
       Array.iteri
         (fun i b ->
-          if Atomic.get b = None then
+          if not (initialized b) then
             fail "bucket %d nil in a table without predecessor" i)
         hn.buckets);
+    let frozen s j = B.is_frozen (Atomic.get s.buckets.(j)) in
     Array.iteri
       (fun i b ->
-        match Atomic.get b with
-        | None -> ()
-        | Some b ->
-          Array.iter
-            (fun k ->
-              if k land hn.mask <> i then
-                fail "key %d misplaced in bucket %d of %d" k i hn.size)
-            (F.elements b);
-          (match pred with
+        if initialized b then
+          match pred with
           | Some s when hn.size = s.size * 2 ->
-            if not (F.is_frozen (pred_bucket s (i land s.mask))) then
+            if not (frozen s (i land s.mask)) then
               fail "predecessor of initialized bucket %d is not frozen" i
           | Some s ->
-            if
-              not
-                (F.is_frozen (pred_bucket s i)
-                && F.is_frozen (pred_bucket s (i + hn.size)))
-            then fail "predecessors of initialized bucket %d are not frozen" i
-          | None -> ()))
+            if not (frozen s i && frozen s (i + hn.size)) then
+              fail "predecessors of initialized bucket %d are not frozen" i
+          | None -> ())
       hn.buckets;
-    let all = elements t in
-    let seen = Hashtbl.create (Array.length all) in
-    Array.iter
-      (fun k ->
-        if Hashtbl.mem seen k then fail "duplicate key %d in abstract set" k;
-        Hashtbl.add seen k ())
-      all
+    let seen = Hashtbl.create 64 in
+    for i = 0 to hn.size - 1 do
+      Array.iter
+        (fun e ->
+          let h = B.hash e in
+          if h land hn.mask <> i then
+            fail "key hashed to %d misplaced in bucket %d of %d" h i hn.size;
+          if List.exists (B.same_key e) (Hashtbl.find_all seen h) then
+            fail "duplicate key hashed to %d in abstract set" h;
+          Hashtbl.add seen h e)
+        (bucket_set hn i)
+    done
+end
+
+(* The FSet-backed bucket of LFArray, LFList, LFFlat, WFArray and the
+   other FSet tables: each slot holds [Some] FSet object, [None] being
+   the nil bucket. *)
+module Fset (F : Nbhash_fset.Fset_intf.CORE) = struct
+  module Bucket = struct
+    include Int_keys
+
+    type 'v slot = F.t option
+    type side = unit
+
+    let uninit = None
+    let make_side _ = ()
+    let build elems = Some (F.create elems)
+    let get = function Some b -> b | None -> assert false
+    let freeze () slots i = F.freeze (get (Atomic.get slots.(i)))
+    let size b = F.size (get b)
+    let contents b = F.elements (get b)
+    let is_frozen b = F.is_frozen (get b)
+  end
+
+  include Make (Bucket)
+
+  (* Locate (initializing if needed) the FSet of [hn] that owns key
+     [k]. *)
+  let bucket_for hn k =
+    let i = k land hn.mask in
+    match Atomic.get hn.buckets.(i) with
+    | Some b -> b
+    | None -> (
+      init_bucket hn i;
+      match Atomic.get hn.buckets.(i) with Some b -> b | None -> assert false)
+
+  (* CONTAINS (lines 11-18): search the head bucket; if it is
+     uninitialized, search through the predecessor instead — unless
+     the predecessor vanished meanwhile, in which case the head bucket
+     must have been initialized and is re-read. *)
+  let contains t k =
+    let hn = Atomic.get t.head in
+    match Atomic.get hn.buckets.(k land hn.mask) with
+    | Some b -> F.has_member b k
+    | None ->
+      Tm.emit_arg Ev.Contains_pred k;
+      let b =
+        match Atomic.get hn.pred with
+        | Some s -> Atomic.get s.buckets.(k land s.mask)
+        | None -> Atomic.get hn.buckets.(k land hn.mask)
+      in
+      F.has_member (Bucket.get b) k
 end

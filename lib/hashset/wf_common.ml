@@ -12,12 +12,12 @@
 module Atomic = Nbhash_util.Nb_atomic
 
 module Make (F : Nbhash_fset.Fset_intf.WF) = struct
-  module Core = Table_core.Make (F)
+  module Core = Table_core.Fset (F)
   module Tm = Nbhash_telemetry.Global
   module Ev = Nbhash_telemetry.Event
 
   type t = {
-    core : Core.t;
+    core : unit Core.t;
     slots : F.op Atomic.t array;
     counter : int Atomic.t;
     next_tid : int Atomic.t;

@@ -1,4 +1,6 @@
 module Atomic = Nbhash_util.Nb_atomic
+module Tm = Nbhash_telemetry.Global
+module Ev = Nbhash_telemetry.Event
 
 let infinity_prio = max_int
 
@@ -17,31 +19,8 @@ type 'v opslot = Empty | Frozen | Pending of 'v wop
    payload). *)
 type 'v wslot = Uninit | N of { pairs : (int * 'v) array; op : 'v opslot Atomic.t }
 
-type 'v hnode = {
-  buckets : 'v wslot Atomic.t array;
-  flags : bool Atomic.t array;
-  size : int;
-  mask : int;
-  pred : 'v hnode option Atomic.t;
-  sweep : Sweep.t;
-}
-
-type 'v t = {
-  head : 'v hnode Atomic.t;
-  policy : Policy.t;
-  count : Policy.Counter.shared;
-  grows : int Atomic.t;
-  shrinks : int Atomic.t;
-  slots : 'v wop option Atomic.t array;
-  counter : int Atomic.t;
-  next_tid : int Atomic.t;
-}
-
-type 'v handle = {
-  table : 'v t;
-  tid : int;
-  local : Policy.Trigger.local;
-}
+let site_freeze = Nbhash_telemetry.Site.register "wf_hashmap/freeze"
+let site_invoke = Nbhash_telemetry.Site.register "wf_hashmap/invoke"
 
 let make_op action key ~prio =
   { action; key; result = Atomic.make None; prio = Atomic.make prio }
@@ -49,114 +28,18 @@ let make_op action key ~prio =
 let op_is_done op = Atomic.get op.prio = infinity_prio
 let fresh_node pairs = N { pairs; op = Atomic.make Empty }
 
-let make_hnode ~size ~pred =
-  {
-    buckets = Array.init size (fun _ -> Atomic.make Uninit);
-    flags = Array.init size (fun _ -> Atomic.make false);
-    size;
-    mask = size - 1;
-    pred = Atomic.make pred;
-    sweep = Sweep.make ~total:size;
-  }
-
-let create ?(policy = Policy.default) ?(max_threads = 128) () =
-  Policy.validate policy;
-  let hn = make_hnode ~size:policy.Policy.init_buckets ~pred:None in
-  Array.iter (fun b -> Atomic.set b (fresh_node [||])) hn.buckets;
-  {
-    head = Atomic.make hn;
-    policy;
-    count = Policy.Counter.make_shared ();
-    grows = Atomic.make 0;
-    shrinks = Atomic.make 0;
-    slots = Array.init max_threads (fun _ -> Atomic.make None);
-    counter = Atomic.make 0;
-    next_tid = Atomic.make 0;
-  }
-
-let register table =
-  let tid = Atomic.fetch_and_add table.next_tid 1 in
-  if tid >= Array.length table.slots then
-    failwith "register: max_threads handles already registered";
-  {
-    table;
-    tid;
-    local = Policy.Trigger.make_local table.count ~seed:(0x3afe + tid);
-  }
-
-let unregister h = Policy.Trigger.flush h.local
-
-(* --- pair-array primitives (shared with Hashmap's layout) --- *)
-
-let pairs_find pairs k =
-  let n = Array.length pairs in
-  let rec go i =
-    if i >= n then None
-    else begin
-      let ki, v = pairs.(i) in
-      if ki = k then Some (i, v) else go (i + 1)
-    end
-  in
-  go 0
-
-let pairs_put pairs k v =
-  match pairs_find pairs k with
-  | Some (i, _) ->
-    let b = Array.copy pairs in
-    b.(i) <- (k, v);
-    b
-  | None ->
-    let n = Array.length pairs in
-    let b = Array.make (n + 1) (k, v) in
-    Array.blit pairs 0 b 0 n;
-    b
-[@@nbhash.plain_ok
-  "copy-on-write: [b] is freshly allocated here and stays private until \
-   published by a bucket CAS"]
-
-let pairs_remove pairs i =
-  let n = Array.length pairs in
-  let b = Array.sub pairs 0 (n - 1) in
-  if i < n - 1 then b.(i) <- pairs.(n - 1);
-  b
-[@@nbhash.plain_ok
-  "copy-on-write: [b] is freshly allocated here and stays private until \
-   published by a bucket CAS"]
-
-let pairs_filter_mask pairs ~mask ~target =
-  let keep (k, _) = k land mask = target in
-  let count = ref 0 in
-  Array.iter (fun p -> if keep p then incr count) pairs;
-  if !count = Array.length pairs then pairs
-  else begin
-    let b = Array.make !count (0, snd pairs.(0)) in
-    let j = ref 0 in
-    Array.iter
-      (fun p ->
-        if keep p then begin
-          b.(!j) <- p;
-          incr j
-        end)
-      pairs;
-    b
-  end
-[@@nbhash.plain_ok
-  "copy-on-write: [b] is freshly allocated here and stays private until \
-   published by a bucket CAS"]
-
 (* Deterministic application of an operation to an immutable pair
    array: (previous binding, replacement array). All helpers compute
    the same answer from the same (node, op) pair. *)
 let apply_action pairs op =
-  let prev = Option.map snd (pairs_find pairs op.key) in
+  let found = Pair_bucket.find pairs op.key in
+  let prev = Option.map snd found in
   let pairs' =
-    match op.action with
-    | Put v -> pairs_put pairs op.key v
-    | Del -> (
-      match pairs_find pairs op.key with
-      | Some (i, _) -> pairs_remove pairs i
-      | None -> pairs)
-    | Upd f -> pairs_put pairs op.key (f prev)
+    match (op.action, found) with
+    | Put v, _ -> Pair_bucket.set pairs found (op.key, v)
+    | Del, Some (i, _) -> Pair_bucket.remove pairs i
+    | Del, None -> pairs
+    | Upd f, _ -> Pair_bucket.set pairs found (op.key, f prev)
   in
   (prev, pairs')
 
@@ -184,27 +67,96 @@ let rec do_freeze slot =
     match Atomic.get n.op with
     | Frozen -> n.pairs
     | Empty ->
-      if Atomic.compare_and_set n.op Empty Frozen then n.pairs
-      else do_freeze slot
+      if Atomic.compare_and_set n.op Empty Frozen then begin
+        Tm.emit Ev.Freeze;
+        n.pairs
+      end
+      else begin
+        Tm.cas_retry site_freeze;
+        do_freeze slot
+      end
     | Pending _ ->
       help_finish slot;
       do_freeze slot)
 
-let freeze hn i =
-  Atomic.set hn.flags.(i) true;
-  do_freeze hn.buckets.(i)
+(* The pair-array entries on wait-free slots, with per-bucket
+   freeze-intent flags beside them, as in AdaptiveOpt. *)
+module Bucket = struct
+  include Pair_bucket
+
+  type 'v slot = 'v wslot
+  type side = bool Atomic.t array
+
+  let uninit = Uninit
+  let make_side size = Array.init size (fun _ -> Atomic.make false)
+  let build = fresh_node
+
+  let freeze flags slots i =
+    Atomic.set flags.(i) true;
+    do_freeze slots.(i)
+
+  let size = function Uninit -> assert false | N n -> Array.length n.pairs
+
+  (* Logical contents, pending operation applied. *)
+  let contents = function
+    | Uninit -> assert false
+    | N n -> (
+      match Atomic.get n.op with
+      | Empty | Frozen -> n.pairs
+      | Pending op -> snd (apply_action n.pairs op))
+
+  let is_frozen = function
+    | Uninit -> assert false
+    | N n -> (
+      match Atomic.get n.op with Frozen -> true | Empty | Pending _ -> false)
+end
+
+module Core = Table_core.Make (Bucket)
+
+type 'v t = {
+  core : 'v Core.t;
+  slots : 'v wop option Atomic.t array;
+  counter : int Atomic.t;
+  next_tid : int Atomic.t;
+}
+
+type 'v handle = {
+  table : 'v t;
+  tid : int;
+  local : Policy.Trigger.local;
+}
+
+let create ?(policy = Policy.default) ?(max_threads = 128) () =
+  {
+    core = Core.create policy;
+    slots = Array.init max_threads (fun _ -> Atomic.make None);
+    counter = Atomic.make 0;
+    next_tid = Atomic.make 0;
+  }
+
+let register table =
+  let tid = Atomic.fetch_and_add table.next_tid 1 in
+  if tid >= Array.length table.slots then
+    failwith "register: max_threads handles already registered";
+  {
+    table;
+    tid;
+    local = Policy.Trigger.make_local table.core.Core.count ~seed:(0x3afe + tid);
+  }
+
+let unregister h = Policy.Trigger.flush h.local
 
 let rec invoke hn i op =
   if op_is_done op then true
   else begin
-    let slot = hn.buckets.(i) in
+    let slot = hn.Core.buckets.(i) in
     match Atomic.get slot with
     | Uninit -> assert false
     | N n -> (
       match Atomic.get n.op with
       | Frozen -> op_is_done op
       | Empty | Pending _ ->
-        if Atomic.get hn.flags.(i) then begin
+        if Atomic.get hn.Core.side.(i) then begin
           ignore (do_freeze slot);
           op_is_done op
         end
@@ -216,7 +168,10 @@ let rec invoke hn i op =
               help_finish slot;
               true
             end
-            else invoke hn i op
+            else begin
+              Tm.cas_retry site_invoke;
+              invoke hn i op
+            end
           | Frozen -> op_is_done op
           | Pending _ ->
             help_finish slot;
@@ -224,81 +179,19 @@ let rec invoke hn i op =
         end)
   end
 
-(* Logical contents of a slot (pending operation applied). *)
-let slot_pairs slot =
-  match Atomic.get slot with
-  | Uninit -> assert false
-  | N n -> (
-    match Atomic.get n.op with
-    | Empty | Frozen -> n.pairs
-    | Pending op -> snd (apply_action n.pairs op))
-
-(* --- table scaffolding (Figure 2) --- *)
-
-let init_bucket hn i =
-  (match (Atomic.get hn.buckets.(i), Atomic.get hn.pred) with
-  | Uninit, Some s ->
-    let pairs =
-      if hn.size = s.size * 2 then
-        pairs_filter_mask (freeze s (i land s.mask)) ~mask:hn.mask ~target:i
-      else Array.append (freeze s i) (freeze s (i + hn.size))
-    in
-    ignore (Atomic.compare_and_set hn.buckets.(i) Uninit (fresh_node pairs))
-    [@nbhash.cas_ok
-      "bucket init: racing initializers freeze the same predecessor slots \
-       and build identical contents; the first CAS publishes"]
-  | (N _ | Uninit), _ -> ());
-  ()
-
 let ensure_bucket hn k =
-  let i = k land hn.mask in
-  (match Atomic.get hn.buckets.(i) with
-  | Uninit -> init_bucket hn i
+  let i = k land hn.Core.mask in
+  (match Atomic.get hn.Core.buckets.(i) with
+  | Uninit -> Core.init_bucket hn i
   | N _ -> ());
   i
-
-(* Cooperative sweep hooks (see Sweep and Table_core). *)
-let sweep_migrate hn i = init_bucket hn i
-let sweep_complete hn () = Atomic.set hn.pred None
-
-let help_migration t hn =
-  let m = t.policy.Policy.migration in
-  if m.Policy.eager && Atomic.get hn.pred <> None then
-    Sweep.help hn.sweep ~chunk:m.Policy.chunk
-      ~max_helpers:m.Policy.max_helpers ~migrate:(sweep_migrate hn)
-      ~on_complete:(sweep_complete hn)
-
-let resize t grow =
-  let hn = Atomic.get t.head in
-  let within_bounds =
-    if grow then hn.size * 2 <= t.policy.Policy.max_buckets
-    else hn.size / 2 >= t.policy.Policy.min_buckets
-  in
-  if (hn.size > 1 || grow) && within_bounds then begin
-    let m = t.policy.Policy.migration in
-    if m.Policy.eager && Atomic.get hn.pred <> None then
-      Sweep.drain hn.sweep ~chunk:m.Policy.chunk ~migrate:(sweep_migrate hn)
-        ~on_complete:(sweep_complete hn);
-    for i = 0 to hn.size - 1 do
-      init_bucket hn i
-    done;
-    if m.Policy.eager then Sweep.finish hn.sweep;
-    Atomic.set hn.pred None
-    [@nbhash.cas_ok
-    "one-way Some -> None: every writer publishes the same final value \
-     once the sweep is complete"];
-    let size = if grow then hn.size * 2 else hn.size / 2 in
-    let hn' = make_hnode ~size ~pred:(Some hn) in
-    if Atomic.compare_and_set t.head hn hn' then
-      ignore (Atomic.fetch_and_add (if grow then t.grows else t.shrinks) 1)
-  end
 
 (* --- announce-and-help APPLY (Figure 4) --- *)
 
 let drive t op =
   let continue = ref (not (op_is_done op)) in
   while !continue do
-    let hn = Atomic.get t.head in
+    let hn = Atomic.get t.core.Core.head in
     let i = ensure_bucket hn op.key in
     if invoke hn i op then continue := false
     else continue := not (op_is_done op)
@@ -319,122 +212,45 @@ let apply h action k =
   help_up_to t ~prio;
   Atomic.get myop.result
 
-(* --- policy triggers --- *)
-
-let slot_pair_count slot =
-  match Atomic.get slot with
-  | Uninit -> 0
-  | N n -> Array.length n.pairs
-
-let after_insert h k ~grew =
-  Policy.Trigger.note_insert h.local ~resp:grew;
-  let hn = Atomic.get h.table.head in
-  help_migration h.table hn;
-  if
-    Policy.Trigger.want_grow h.table.policy h.local ~cur_buckets:hn.size
-      ~migrating:(Atomic.get hn.pred <> None)
-      ~inserted_bucket_size:(fun () ->
-        slot_pair_count hn.buckets.(k land hn.mask))
-  then resize h.table true
-
-let after_remove h ~resp =
-  Policy.Trigger.note_remove h.local ~resp;
-  let hn = Atomic.get h.table.head in
-  help_migration h.table hn;
-  if
-    Policy.Trigger.want_shrink h.table.policy h.local ~cur_buckets:hn.size
-      ~migrating:(Atomic.get hn.pred <> None)
-      ~sample_bucket_size:(fun i -> slot_pair_count hn.buckets.(i))
-  then resize h.table false
-
 (* --- public operations --- *)
 
 let put h k v =
   Hashset_intf.check_key k;
   let prev = apply h (Put v) k in
-  after_insert h k ~grew:(Option.is_none prev);
+  Core.after_insert h.table.core h.local ~key:k ~resp:(Option.is_none prev);
   prev
 
 let remove h k =
   Hashset_intf.check_key k;
   let prev = apply h Del k in
-  after_remove h ~resp:(Option.is_some prev);
+  Core.after_remove h.table.core h.local ~resp:(Option.is_some prev);
   prev
 
 let update h k f =
   Hashset_intf.check_key k;
   let prev = apply h (Upd f) k in
-  after_insert h k ~grew:(Option.is_none prev)
+  Core.after_insert h.table.core h.local ~key:k ~resp:(Option.is_none prev)
 
 let get h k =
   Hashset_intf.check_key k;
-  let t = h.table in
-  let hn = Atomic.get t.head in
-  let lookup slot = Option.map snd (pairs_find (slot_pairs slot) k) in
-  match Atomic.get hn.buckets.(k land hn.mask) with
-  | N _ -> lookup hn.buckets.(k land hn.mask)
+  let hn = Atomic.get h.table.core.Core.head in
+  let lookup slot =
+    Option.map snd (Pair_bucket.find (Bucket.contents (Atomic.get slot)) k)
+  in
+  match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
+  | N _ -> lookup hn.Core.buckets.(k land hn.Core.mask)
   | Uninit -> (
-    match Atomic.get hn.pred with
-    | Some s -> lookup s.buckets.(k land s.mask)
-    | None -> lookup hn.buckets.(k land hn.mask))
+    match Atomic.get hn.Core.pred with
+    | Some s -> lookup s.Core.buckets.(k land s.Core.mask)
+    | None -> lookup hn.Core.buckets.(k land hn.Core.mask))
 
 let mem h k = Option.is_some (get h k)
-
-let bucket_pairs hn i =
-  match Atomic.get hn.buckets.(i) with
-  | N _ -> slot_pairs hn.buckets.(i)
-  | Uninit -> (
-    match Atomic.get hn.pred with
-    | Some s ->
-      if hn.size = s.size * 2 then
-        pairs_filter_mask
-          (slot_pairs s.buckets.(i land s.mask))
-          ~mask:hn.mask ~target:i
-      else
-        Array.append (slot_pairs s.buckets.(i)) (slot_pairs s.buckets.(i + hn.size))
-    | None -> slot_pairs hn.buckets.(i))
-
-(* How many of [pairs]' keys fall in bucket [target] under [mask]. *)
-let count_mask pairs ~mask ~target =
-  let c = ref 0 in
-  for j = 0 to Array.length pairs - 1 do
-    if fst pairs.(j) land mask = target then incr c
-  done;
-  !c
-
-(* [Array.length (bucket_pairs hn i)], without building the split or
-   merged array of a bucket the migration has not initialised yet. A
-   slot with a pending operation still copies its pairs once, in
-   [slot_pairs]. *)
-let bucket_size hn i =
-  match Atomic.get hn.buckets.(i) with
-  | N _ -> Array.length (slot_pairs hn.buckets.(i))
-  | Uninit -> (
-    match Atomic.get hn.pred with
-    | Some s ->
-      if hn.size = s.size * 2 then
-        count_mask (slot_pairs s.buckets.(i land s.mask)) ~mask:hn.mask
-          ~target:i
-      else
-        Array.length (slot_pairs s.buckets.(i))
-        + Array.length (slot_pairs s.buckets.(i + hn.size))
-    | None -> Array.length (slot_pairs hn.buckets.(i)))
-
-let bindings t =
-  let hn = Atomic.get t.head in
-  List.concat_map (fun i -> Array.to_list (bucket_pairs hn i)) (List.init hn.size Fun.id)
-
-let cardinal t = List.length (bindings t)
-let bucket_count t = (Atomic.get t.head).size
-
-let resize_stats t =
-  { Hashset_intf.grows = Atomic.get t.grows; shrinks = Atomic.get t.shrinks }
-
-let force_resize h ~grow = resize h.table grow
-
-let bucket_sizes t =
-  let hn = Atomic.get t.head in
-  Array.init hn.size (fun i -> Array.length (bucket_pairs hn i))
+let bindings t = Array.to_list (Core.elements t.core)
+let cardinal t = Core.cardinal t.core
+let bucket_count t = Core.bucket_count t.core
+let resize_stats t = Core.resize_stats t.core
+let force_resize h ~grow = Core.resize h.table.core grow
+let bucket_sizes t = Core.bucket_sizes t.core
 
 (* Snapshot of the announce array for the liveness watchdog, as in
    Wf_common.announced: every announced-but-incomplete operation as
@@ -451,81 +267,7 @@ let pending_ops t =
   done;
   Array.of_list !out
 
-(* Announce-array occupancy, as in Adaptive_hashset_opt.pending_ops. *)
-let announce_pending t =
-  let n = ref 0 in
-  Array.iter
-    (fun slot ->
-      match Atomic.get slot with
-      | Some op when not (op_is_done op) -> incr n
-      | Some _ | None -> ())
-    t.slots;
-  !n
-
-(* Structural health snapshot; see Table_core.inspect_with. A slot is
-   frozen when its operation field reads [Frozen]. *)
 let inspect t =
-  let hn = Atomic.get t.head in
-  let sizes = Array.init hn.size (bucket_size hn) in
-  let initialized = ref 0 in
-  let frozen = ref 0 in
-  let scan ~count_init b =
-    match Atomic.get b with
-    | N n -> (
-      if count_init then incr initialized;
-      match Atomic.get n.op with
-      | Frozen -> incr frozen
-      | Empty | Pending _ -> ())
-    | Uninit -> ()
-  in
-  Array.iter (scan ~count_init:true) hn.buckets;
-  let pred = Atomic.get hn.pred in
-  (match pred with
-  | Some s -> Array.iter (scan ~count_init:false) s.buckets
-  | None -> ());
-  let migrating = pred <> None in
-  Hashset_intf.make_view ~sizes ~frozen_buckets:!frozen ~migrating
-    ~migration_progress:
-      (if migrating then float_of_int !initialized /. float_of_int hn.size
-       else 1.0)
-    ~announce_pending:(announce_pending t)
+  Core.inspect t.core ~announce_pending:(Array.length (pending_ops t))
 
-let fail fmt = Format.kasprintf failwith fmt
-
-let check_invariants t =
-  let hn = Atomic.get t.head in
-  (match Atomic.get hn.pred with
-  | Some s ->
-    Array.iteri
-      (fun j b ->
-        match Atomic.get b with
-        | Uninit -> fail "pred bucket %d is uninit" j
-        | N _ -> ())
-      s.buckets
-  | None ->
-    Array.iteri
-      (fun i b ->
-        match Atomic.get b with
-        | Uninit -> fail "bucket %d uninit in a table without predecessor" i
-        | N _ -> ())
-      hn.buckets);
-  Array.iteri
-    (fun i b ->
-      match Atomic.get b with
-      | Uninit -> ()
-      | N n ->
-        Array.iter
-          (fun (k, _) ->
-            if k land hn.mask <> i then
-              fail "key %d misplaced in bucket %d of %d" k i hn.size)
-          n.pairs)
-    hn.buckets;
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun (k, _) ->
-      if Hashtbl.mem seen k then fail "duplicate key %d" k;
-      Hashtbl.add seen k ())
-    (bindings t)
-
-(* Ensure the update callback is morally pure in debug runs: nothing
-   to enforce at runtime; documented contract. *)
+let check_invariants t = Core.check_invariants t.core

@@ -43,7 +43,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) : Hashset_intf.S = struct
   let check_invariants t = W.Core.check_invariants t.W.core
 
   let inspect t =
-    W.Core.inspect_with t.W.core
+    W.Core.inspect t.W.core
       ~announce_pending:(Array.length (W.announced t))
 
   let pending_ops = W.announced

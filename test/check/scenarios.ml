@@ -379,8 +379,16 @@ module Wf_array = Wf_freeze_vs_update (Nbhash_fset.Wf_array_fset)
 module LFArray = Table_races (Nbhash.Tables.LFArray)
 module WFArray = Table_races (Nbhash.Tables.WFArray)
 module LFFlat = Table_races (Nbhash.Tables.LFFlat)
+
+(* The flattened layouts run the same core over their own buckets: a
+   copy-on-write slot (LFArrayOpt) and a wait-free slot with
+   freeze-intent flags beside it (AdaptiveOpt). *)
+module LFArrayOpt = Table_races (Nbhash.Tables.LFArrayOpt)
+module AdaptiveOpt = Table_races (Nbhash.Tables.AdaptiveOpt)
 module LFArray_sweep = Sweep_races (Nbhash.Tables.LFArray)
 module WFArray_sweep = Sweep_races (Nbhash.Tables.WFArray)
+module LFArrayOpt_sweep = Sweep_races (Nbhash.Tables.LFArrayOpt)
+module AdaptiveOpt_sweep = Sweep_races (Nbhash.Tables.AdaptiveOpt)
 module Broken = Freeze_vs_update (Broken_fset)
 module Broken_flat = Freeze_vs_update (Broken_flat_fset)
 
@@ -406,10 +414,20 @@ let all : (string * Explore.scenario) list =
     ("lfflat grow during insert", LFFlat.grow_during_insert);
     ("lfflat shrink during contains", LFFlat.shrink_during_contains);
     ("wfarray grow during insert", WFArray.grow_during_insert);
+    ("lfarrayopt grow during insert", LFArrayOpt.grow_during_insert);
+    ("lfarrayopt shrink during contains", LFArrayOpt.shrink_during_contains);
+    ("lfarrayopt grow vs grow", LFArrayOpt.grow_vs_grow);
+    ("adaptiveopt grow during insert", AdaptiveOpt.grow_during_insert);
+    ("adaptiveopt shrink during contains", AdaptiveOpt.shrink_during_contains);
     ("lfarray sweep helper vs lazy init", LFArray_sweep.helper_vs_lazy);
     ("lfarray sweep vs grow-shrink", LFArray_sweep.sweep_vs_grow_shrink);
     ("wfarray sweep helper vs lazy init", WFArray_sweep.helper_vs_lazy);
     ("wfarray sweep vs grow-shrink", WFArray_sweep.sweep_vs_grow_shrink);
+    ("lfarrayopt sweep helper vs lazy init", LFArrayOpt_sweep.helper_vs_lazy);
+    ("lfarrayopt sweep vs grow-shrink", LFArrayOpt_sweep.sweep_vs_grow_shrink);
+    ("adaptiveopt sweep helper vs lazy init", AdaptiveOpt_sweep.helper_vs_lazy);
+    ( "adaptiveopt sweep vs grow-shrink",
+      AdaptiveOpt_sweep.sweep_vs_grow_shrink );
   ]
 
 (* ... and the deliberately broken FSet (no [ok] re-check on the retry

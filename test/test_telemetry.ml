@@ -109,13 +109,131 @@ let test_noop_stays_zero () =
 
 (* --- instrumented tables: resize events match resize_stats --- *)
 
-let resize_storm (module S : Nbhash.Hashset_intf.S) () =
+(* What the two resize checks below use of a table. Every structure
+   built on HNodes provides it: the sets directly, the maps and the
+   generic structures through the adapters that follow. *)
+module type RESIZABLE = sig
+  type t
+  type handle
+
+  val create : Nbhash.Policy.t -> t
+  val register : t -> handle
+  val unregister : handle -> unit
+  val insert : handle -> int -> unit
+  val force_resize : handle -> grow:bool -> unit
+  val resize_stats : t -> Nbhash.Hashset_intf.resize_stats
+  val cardinal : t -> int
+  val check_invariants : t -> unit
+end
+
+module Of_set (S : Nbhash.Hashset_intf.S) : RESIZABLE = struct
+  include S
+
+  let create policy = S.create ~policy ()
+  let insert h k = ignore (S.insert h k)
+end
+
+module Hashmap_r : RESIZABLE = struct
+  module M = Nbhash.Hashmap
+
+  type t = int M.t
+  type handle = int M.handle
+
+  let create policy = M.create ~policy ()
+  let register = M.register
+  let unregister = M.unregister
+  let insert h k = ignore (M.put h k k)
+  let force_resize = M.force_resize
+  let resize_stats = M.resize_stats
+  let cardinal = M.cardinal
+  let check_invariants = M.check_invariants
+end
+
+module Wf_hashmap_r : RESIZABLE = struct
+  module M = Nbhash.Wf_hashmap
+
+  type t = int M.t
+  type handle = int M.handle
+
+  let create policy = M.create ~policy ()
+  let register = M.register
+  let unregister = M.unregister
+  let insert h k = ignore (M.put h k k)
+  let force_resize = M.force_resize
+  let resize_stats = M.resize_stats
+  let cardinal = M.cardinal
+  let check_invariants = M.check_invariants
+end
+
+module Int_key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end
+
+module Generic_set_r : RESIZABLE = struct
+  module M = Nbhash_generic.Generic_set.Make (Int_key)
+
+  type t = M.t
+  type handle = M.handle
+
+  let create policy = M.create ~policy ()
+  let register = M.register
+  let unregister = M.unregister
+  let insert h k = ignore (M.add h k)
+  let force_resize = M.force_resize
+  let resize_stats = M.resize_stats
+  let cardinal = M.cardinal
+  let check_invariants = M.check_invariants
+end
+
+module Generic_map_r : RESIZABLE = struct
+  module M = Nbhash_generic.Generic_map.Make (Int_key)
+
+  type t = int M.t
+  type handle = int M.handle
+
+  let create policy = M.create ~policy ()
+  let register = M.register
+  let unregister = M.unregister
+  let insert h k = ignore (M.put h k k)
+  let force_resize = M.force_resize
+  let resize_stats = M.resize_stats
+  let cardinal = M.cardinal
+  let check_invariants = M.check_invariants
+end
+
+(* Every table that resizes through Table_core: the Hashset_intf
+   variants other than SplitOrder, Michael and Locked, the two maps
+   and the two generic structures. They must all report the same
+   resize telemetry. *)
+let hnode_tables : (string * (module RESIZABLE)) list =
+  let set (module S : Nbhash.Hashset_intf.S) = (module Of_set (S) : RESIZABLE) in
+  let open Nbhash.Tables in
+  [
+    ("LFArray", set (module LFArray));
+    ("LFArrayOpt", set (module LFArrayOpt));
+    ("LFUlist", set (module LFUlist));
+    ("LFSorted", set (module LFSorted));
+    ("LFList", set (module LFList));
+    ("LFFlat", set (module LFFlat));
+    ("WFArray", set (module WFArray));
+    ("WFList", set (module WFList));
+    ("Adaptive", set (module Adaptive));
+    ("AdaptiveOpt", set (module AdaptiveOpt));
+    ("Hashmap", (module Hashmap_r));
+    ("Wf_hashmap", (module Wf_hashmap_r));
+    ("Generic_set", (module Generic_set_r));
+    ("Generic_map", (module Generic_map_r));
+  ]
+
+let resize_storm (module S : RESIZABLE) () =
   with_probe (fun _ ->
-      let t = S.create ~policy:{ Nbhash.Policy.default with init_buckets = 4 } ()
-      in
+      let t = S.create { Nbhash.Policy.default with init_buckets = 4 } in
       let h = S.register t in
       for k = 0 to 499 do
-        ignore (S.insert h k)
+        S.insert h k
       done;
       let domains = 3 in
       let workers =
@@ -123,7 +241,7 @@ let resize_storm (module S : Nbhash.Hashset_intf.S) () =
             Domain.spawn (fun () ->
                 let h = S.register t in
                 for j = 0 to 39 do
-                  ignore (S.insert h (1000 + (i * 100) + j));
+                  S.insert h (1000 + (i * 100) + j);
                   S.force_resize h ~grow:(j land 1 = 0)
                 done;
                 S.unregister h))
@@ -147,15 +265,13 @@ let resize_storm (module S : Nbhash.Hashset_intf.S) () =
    FIRST force_resize of a quiescent pred-less table migrates nothing
    (every bucket is already initialised); it is the second resize that
    freezes and moves every key. *)
-let full_migration (module S : Nbhash.Hashset_intf.S) () =
+let full_migration (module S : RESIZABLE) () =
   with_probe (fun p ->
-      let t =
-        S.create ~policy:{ Nbhash.Policy.default with init_buckets = 16 } ()
-      in
+      let t = S.create { Nbhash.Policy.default with init_buckets = 16 } in
       let h = S.register t in
       let n = 1000 in
       for k = 0 to n - 1 do
-        ignore (S.insert h k)
+        S.insert h k
       done;
       S.force_resize h ~grow:true;
       (* Quiescent: discard the counts of the first resize (which may
@@ -329,18 +445,17 @@ let suite =
           test_histogram_percentiles;
         Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
         Alcotest.test_case "noop records nothing" `Quick test_noop_stays_zero;
-        Alcotest.test_case "resize storm LFArray" `Quick
-          (resize_storm (module Nbhash.Tables.LFArray));
-        Alcotest.test_case "resize storm LFArrayOpt" `Quick
-          (resize_storm (module Nbhash.Tables.LFArrayOpt));
-        Alcotest.test_case "resize storm AdaptiveOpt" `Quick
-          (resize_storm (module Nbhash.Tables.AdaptiveOpt));
-        Alcotest.test_case "full migration LFArray" `Quick
-          (full_migration (module Nbhash.Tables.LFArray));
-        Alcotest.test_case "full migration LFArrayOpt" `Quick
-          (full_migration (module Nbhash.Tables.LFArrayOpt));
-        Alcotest.test_case "full migration WFList" `Quick
-          (full_migration (module Nbhash.Tables.WFList));
+      ]
+      @ List.concat_map
+          (fun (name, table) ->
+            [
+              Alcotest.test_case ("resize storm " ^ name) `Quick
+                (resize_storm table);
+              Alcotest.test_case ("full migration " ^ name) `Quick
+                (full_migration table);
+            ])
+          hnode_tables
+      @ [
         Alcotest.test_case "unregister flushes counters" `Quick
           test_unregister_flushes;
         Alcotest.test_case "wait-free helping reported" `Quick
