@@ -375,27 +375,26 @@ and remove t n op =
 
 (* Pure reader: never helps, answers from whichever root it loaded.
    An old, fully sealed node remains the truth until the successor's
-   root CAS, so reads during a migration stay linearizable. *)
+   root CAS, so reads during a migration stay linearizable. The probe
+   loop is top-level and takes its state as arguments, so a lookup
+   allocates nothing. *)
+let rec probe_member n ~home ~f ~w_occ d =
+  if d > n.mask then false
+  else
+    let idx = (home + d) land n.mask in
+    let tag = Char.code (Bytes.get n.tags idx) in
+    if tag <> 0 && tag <> f then probe_member n ~home ~f ~w_occ (d + 1)
+    else
+      let w = Atomic.get n.slots.(idx) in
+      if w land lnot seal_bit = empty_w then false
+      else if w lor seal_bit = w_occ lor seal_bit then true
+      else probe_member n ~home ~f ~w_occ (d + 1)
+
 let has_member t k =
   check_key k;
   let n = Atomic.get t.root in
   let h = mix k in
-  let home = h land n.mask in
-  let f = fp_of_hash h in
-  let w_occ = enc k in
-  let rec go d =
-    if d > n.mask then false
-    else
-      let idx = (home + d) land n.mask in
-      let tag = Char.code (Bytes.get n.tags idx) in
-      if tag <> 0 && tag <> f then go (d + 1)
-      else
-        let w = Atomic.get n.slots.(idx) in
-        if w land lnot seal_bit = empty_w then false
-        else if w lor seal_bit = w_occ lor seal_bit then true
-        else go (d + 1)
-  in
-  go 0
+  probe_member n ~home:(h land n.mask) ~f:(fp_of_hash h) ~w_occ:(enc k) 0
 
 let rec freeze t =
   let n = Atomic.get t.root in

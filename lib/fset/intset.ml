@@ -1,7 +1,8 @@
-let mem a k =
-  let n = Array.length a in
-  let rec go i = i < n && (a.(i) = k || go (i + 1)) in
-  go 0
+(* Top-level, with every input an argument: a local recursive closure
+   over [a] and [k] would be allocated on each call, and [mem] is on
+   every array-bucket lookup. *)
+let rec mem_from a k i = i < Array.length a && (a.(i) = k || mem_from a k (i + 1))
+let mem a k = mem_from a k 0
 
 let add a k =
   assert (not (mem a k));

@@ -50,20 +50,25 @@ let is_unlinkable = function
   | Pending_ins | Pending_rem | Data | Marker -> false
 
 (* First non-garbage node reachable through [slot], unlinking terminal
-   nodes along the way (they are permanent no-ops, safe to cut). *)
+   nodes along the way (they are permanent no-ops, safe to cut). CAS
+   compares physically, so the unlinking CAS expects the very option
+   read from [slot]. Win or lose, the walk goes on from [slot] itself,
+   so a run of terminal nodes is cut from the list and not from a node
+   already cut out of it. The result is the option read from [slot],
+   so a traversal allocates nothing. *)
 let rec next_live slot =
   match Atomic.get slot with
   | None -> None
-  | Some m ->
+  | Some m as cur ->
     if is_unlinkable (Atomic.get m.state) then begin
       ignore
-        (Atomic.compare_and_set slot (Some m) (Atomic.get m.next))
+        (Atomic.compare_and_set slot cur (Atomic.get m.next))
       [@nbhash.cas_ok
         "unlinking a terminal node is an optional shortcut: losing the race \
         means another traversal already cut it (or the slot moved on)"];
-      next_live m.next
+      next_live slot
     end
-    else Some m
+    else cur
 
 (* Resolve a pending node against its suffix. Any same-key pending
    node encountered is resolved first, which makes per-key verdicts
@@ -174,22 +179,23 @@ let get_response op =
     | Noop -> false
     | Pending_ins | Pending_rem | Marker -> assert false)
 
-let has_member t k =
-  let rec walk slot =
-    match next_live slot with
-    | None -> false
-    | Some m ->
-      if m.key <> k then walk m.next
-      else begin
-        match Atomic.get m.state with
-        | Data -> true
-        | Pending_ins | Pending_rem ->
-          resolve m;
-          walk slot
-        | Killed _ | Done_rem | Noop | Marker -> walk m.next
-      end
-  in
-  walk t.head
+(* Top-level with its state as arguments: a local closure over [k]
+   would be allocated on every lookup. *)
+let rec member_from k slot =
+  match next_live slot with
+  | None -> false
+  | Some m ->
+    if m.key <> k then member_from k m.next
+    else begin
+      match Atomic.get m.state with
+      | Data -> true
+      | Pending_ins | Pending_rem ->
+        resolve m;
+        member_from k slot
+      | Killed _ | Done_rem | Noop | Marker -> member_from k m.next
+    end
+
+let has_member t k = member_from k t.head
 
 (* Resolve every pending node, then gather the data nodes. Exact in
    quiescent (or frozen) states. *)

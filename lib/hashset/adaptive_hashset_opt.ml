@@ -118,7 +118,7 @@ module Core = Table_core.Make (Bucket)
 type t = {
   core : unit Core.t;
   slots : wop Atomic.t array;
-  counter : int Atomic.t;
+  counter : int Atomic.t;  (* the bakery doorway; padded, as in Wf_common *)
   next_tid : int Atomic.t;
   fast_threshold : int;
   help_mask : int;
@@ -143,7 +143,7 @@ let create_tuned ?(policy = Policy.default) ?(max_threads = 128)
     slots =
       Array.init max_threads (fun _ ->
           Atomic.make (make_op Nbhash_fset.Fset_intf.Ins 0 ~prio:infinity_prio));
-    counter = Atomic.make 0;
+    counter = Atomic.make_contended 0;
     next_tid = Atomic.make 0;
     fast_threshold;
     help_mask = help_period - 1;
@@ -226,8 +226,9 @@ let drive t op =
     else continue := not (op_is_done op)
   done
 
+(* Bounded by the registered tids, as Wf_common.help_up_to is. *)
 let help_up_to t ~prio =
-  for tid = 0 to Array.length t.slots - 1 do
+  for tid = 0 to min (Atomic.get t.next_tid) (Array.length t.slots) - 1 do
     let op = Atomic.get t.slots.(tid) in
     if Atomic.get op.prio <= prio then begin
       if not (op_is_done op) then Tm.emit_arg Ev.Help_op tid;

@@ -404,23 +404,28 @@ module Make (B : BUCKET) = struct
 end
 
 (* The FSet-backed bucket of LFArray, LFList, LFFlat, WFArray and the
-   other FSet tables: each slot holds [Some] FSet object, [None] being
-   the nil bucket. *)
+   other FSet tables: each slot holds the FSet object itself, and one
+   empty FSet made here, never handed out and compared physically,
+   stands for the nil bucket. A lookup then loads the FSet without an
+   option box in between. *)
 module Fset (F : Nbhash_fset.Fset_intf.CORE) = struct
   module Bucket = struct
     include Int_keys
 
-    type 'v slot = F.t option
+    type 'v slot = F.t
     type side = unit
 
-    let uninit = None
+    let uninit = F.create [||]
     let make_side _ = ()
-    let build elems = Some (F.create elems)
-    let get = function Some b -> b | None -> assert false
-    let freeze () slots i = F.freeze (get (Atomic.get slots.(i)))
-    let size b = F.size (get b)
-    let contents b = F.elements (get b)
-    let is_frozen b = F.is_frozen (get b)
+    let build elems = F.create elems
+    let freeze () slots i =
+      let b = Atomic.get slots.(i) in
+      (* A predecessor's buckets are all initialised. *)
+      assert (b != uninit);
+      F.freeze b
+    let size = F.size
+    let contents = F.elements
+    let is_frozen = F.is_frozen
   end
 
   include Make (Bucket)
@@ -429,11 +434,14 @@ module Fset (F : Nbhash_fset.Fset_intf.CORE) = struct
      [k]. *)
   let bucket_for hn k =
     let i = k land hn.mask in
-    match Atomic.get hn.buckets.(i) with
-    | Some b -> b
-    | None -> (
+    let b = Atomic.get hn.buckets.(i) in
+    if b != Bucket.uninit then b
+    else begin
       init_bucket hn i;
-      match Atomic.get hn.buckets.(i) with Some b -> b | None -> assert false)
+      let b = Atomic.get hn.buckets.(i) in
+      assert (b != Bucket.uninit);
+      b
+    end
 
   (* CONTAINS (lines 11-18): search the head bucket; if it is
      uninitialized, search through the predecessor instead — unless
@@ -441,14 +449,16 @@ module Fset (F : Nbhash_fset.Fset_intf.CORE) = struct
      must have been initialized and is re-read. *)
   let contains t k =
     let hn = Atomic.get t.head in
-    match Atomic.get hn.buckets.(k land hn.mask) with
-    | Some b -> F.has_member b k
-    | None ->
+    let b = Atomic.get hn.buckets.(k land hn.mask) in
+    if b != Bucket.uninit then F.has_member b k
+    else begin
       Tm.emit_arg Ev.Contains_pred k;
       let b =
         match Atomic.get hn.pred with
         | Some s -> Atomic.get s.buckets.(k land s.mask)
         | None -> Atomic.get hn.buckets.(k land hn.mask)
       in
-      F.has_member (Bucket.get b) k
+      assert (b != Bucket.uninit);
+      F.has_member b k
+    end
 end

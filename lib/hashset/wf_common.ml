@@ -20,6 +20,8 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
     core : unit Core.t;
     slots : F.op Atomic.t array;
     counter : int Atomic.t;
+        (* the bakery doorway, written by every announced operation;
+           padded so its writes do not invalidate its neighbours' line *)
     next_tid : int Atomic.t;
     announce_writes : int array;
         (* per-slot announce counts: each slot has one writer (its
@@ -47,7 +49,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
     {
       core = Core.create policy;
       slots = Array.init max_threads (fun _ -> Atomic.make (inert_op ()));
-      counter = Atomic.make 0;
+      counter = Atomic.make_contended 0;
       next_tid = Atomic.make 0;
       announce_writes;
       announce_src =
@@ -87,10 +89,17 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
       else continue := not (F.op_is_done op)
     done
 
+  (* Tids handed out so far: no slot at or past this index has ever
+     held an announced operation. *)
+  let registered t = min (Atomic.get t.next_tid) (Array.length t.slots)
+
   (* The helping scan of Figure 4 (lines 56-64): complete every
-     announced operation whose priority is at most [prio]. *)
+     announced operation whose priority is at most [prio]. The scan
+     stops at the registered tids: a handle registered after the scan
+     reads [next_tid] draws its priorities after [prio] (DESIGN.md
+     System 20). *)
   let help_up_to t ~prio =
-    for tid = 0 to Array.length t.slots - 1 do
+    for tid = 0 to registered t - 1 do
       let op = Atomic.get t.slots.(tid) in
       if F.op_prio op <= prio then begin
         if not (F.op_is_done op) then Tm.emit_arg Ev.Help_op tid;

@@ -116,7 +116,7 @@ module Core = Table_core.Make (Bucket)
 type 'v t = {
   core : 'v Core.t;
   slots : 'v wop option Atomic.t array;
-  counter : int Atomic.t;
+  counter : int Atomic.t;  (* the bakery doorway; padded, as in Wf_common *)
   next_tid : int Atomic.t;
 }
 
@@ -130,7 +130,7 @@ let create ?(policy = Policy.default) ?(max_threads = 128) () =
   {
     core = Core.create policy;
     slots = Array.init max_threads (fun _ -> Atomic.make None);
-    counter = Atomic.make 0;
+    counter = Atomic.make_contended 0;
     next_tid = Atomic.make 0;
   }
 
@@ -197,8 +197,9 @@ let drive t op =
     else continue := not (op_is_done op)
   done
 
+(* Bounded by the registered tids, as Wf_common.help_up_to is. *)
 let help_up_to t ~prio =
-  for tid = 0 to Array.length t.slots - 1 do
+  for tid = 0 to min (Atomic.get t.next_tid) (Array.length t.slots) - 1 do
     match Atomic.get t.slots.(tid) with
     | Some op when Atomic.get op.prio <= prio -> drive t op
     | Some _ | None -> ()

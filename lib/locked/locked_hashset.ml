@@ -94,9 +94,14 @@ let remove t k =
       end
       else false)
 
+(* [List.mem] on ints cannot raise, so the lookup needs no
+   [Fun.protect] and allocates nothing. *)
 let contains t k =
   Hashset_intf.check_key k;
-  locked t (fun () -> List.mem k t.buckets.(k land t.mask))
+  Mutex.lock t.lock;
+  let present = List.mem k t.buckets.(k land t.mask) in
+  Mutex.unlock t.lock;
+  present
 
 let bucket_count t = locked t (fun () -> t.mask + 1)
 

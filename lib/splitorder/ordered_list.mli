@@ -3,11 +3,13 @@
     split-ordered-list baseline and Michael's fixed-size hash table.
 
     Keys are unique and sorted ascending. A node is deleted in two
-    steps: its [next] link is atomically tagged [Dead] (the logical
-    deletion, the linearization point of a remove), then any traversal
-    that encounters it unlinks it physically. Traversal starts from a
-    caller-supplied start node, which lets hash tables begin searches
-    at interior sentinel (dummy) nodes rather than the list head. *)
+    steps: its [next] link is atomically replaced by a mark around the
+    same successor (the logical deletion, the linearization point of a
+    remove), then any traversal that encounters it unlinks it
+    physically. A lookup allocates nothing and costs two dependent
+    loads per node. Traversal starts from a caller-supplied start node,
+    which lets hash tables begin searches at interior sentinel (dummy)
+    nodes rather than the list head. *)
 
 type node
 

@@ -8,13 +8,22 @@ let segment_bits = 10
 let segment_size = 1 lsl segment_bits
 let max_segments = 1 lsl 16
 
-type segment = Ordered_list.node option Atomic.t array
+(* A bucket's slot holds its dummy cell once initialised, and the
+   private cell [no_dummy] before; a directory entry holds its segment
+   once allocated, and the empty array before. Both are compared
+   physically, so a lookup loads the dummy without an option box. *)
+type segment = Ordered_list.node Atomic.t array
+
+let no_dummy = Ordered_list.make_node 0
+let no_segment : segment = [||]
 
 type t = {
-  top : segment option Atomic.t array;
+  top : segment Atomic.t array;  (* one entry per segment of max_buckets *)
   head : Ordered_list.node;  (* the dummy of bucket 0 *)
-  size : int Atomic.t;  (* current bucket count, a power of two *)
-  count : int Atomic.t;  (* element count, drives growth *)
+  size : int Atomic.t;
+      (* current bucket count, a power of two; read by every operation,
+         so padded away from [count]'s writes *)
+  count : int Atomic.t;  (* element count, drives growth; padded *)
   load_factor : int;
   max_buckets : int;
   grow_enabled : bool;
@@ -25,22 +34,26 @@ type handle = t
 
 let name = "SplitOrder"
 
+let new_segment () : segment =
+  Array.init segment_size (fun _ -> Atomic.make no_dummy)
+
 let create ?(policy = Policy.default) ?max_threads () =
   ignore max_threads;
   Policy.validate policy;
   let max_buckets = min policy.Policy.max_buckets (segment_size * max_segments) in
   let head = Ordered_list.make_head () in
-  let seg0 : segment =
-    Array.init segment_size (fun _ -> Atomic.make None)
-  in
-  Atomic.set seg0.(0) (Some head);
-  let top = Array.init max_segments (fun _ -> Atomic.make None) in
-  Atomic.set top.(0) (Some seg0);
+  let seg0 = new_segment () in
+  Atomic.set seg0.(0) head;
+  (* The directory covers [max_buckets] and no more: a table that can
+     never use a segment does not pay for its directory entry. *)
+  let segments = (max_buckets + segment_size - 1) / segment_size in
+  let top = Array.init segments (fun _ -> Atomic.make no_segment) in
+  Atomic.set top.(0) seg0;
   {
     top;
     head;
-    size = Atomic.make policy.Policy.init_buckets;
-    count = Atomic.make 0;
+    size = Atomic.make_contended policy.Policy.init_buckets;
+    count = Atomic.make_contended 0;
     load_factor =
       (match policy.Policy.heuristic with
       | Policy.Load_factor { grow; _ } -> max 1 (int_of_float grow)
@@ -54,35 +67,34 @@ let register t = t
 let unregister _ = ()
 
 let segment_for t i =
-  let si = i lsr segment_bits in
-  let slot = t.top.(si) in
-  match Atomic.get slot with
-  | Some seg -> seg
-  | None ->
-    let seg : segment = Array.init segment_size (fun _ -> Atomic.make None) in
-    ignore (Atomic.compare_and_set slot None (Some seg))
+  let slot = t.top.(i lsr segment_bits) in
+  let seg = Atomic.get slot in
+  if seg != no_segment then seg
+  else begin
+    ignore (Atomic.compare_and_set slot no_segment (new_segment ()))
     [@nbhash.cas_ok
       "segment publish: a losing initializer discards its fresh segment and \
        reads the winner's on the next line"];
-    Option.get (Atomic.get slot)
+    Atomic.get slot
+  end
 
 (* Fetch bucket [i]'s dummy node, creating it (and, recursively, its
    parent's) on first touch. The recursion depth is the popcount of
    [i]. Publishing with a plain set is fine: racing initializers
    obtain the same node from [insert_or_find]. *)
 let rec bucket_dummy t i =
-  let seg = segment_for t i in
-  let slot = seg.(i land (segment_size - 1)) in
-  match Atomic.get slot with
-  | Some d -> d
-  | None ->
+  let slot = (segment_for t i).(i land (segment_size - 1)) in
+  let d = Atomic.get slot in
+  if d != no_dummy then d
+  else begin
     let parent = if i = 0 then t.head else bucket_dummy t (Bits.unset_msb i) in
     let d = Ordered_list.insert_or_find ~start:parent (Bits.so_dummy_key i) in
-    Atomic.set slot (Some d)
+    Atomic.set slot d
     [@nbhash.cas_ok
       "idempotent publish: racing initializers obtain the same node from \
        [insert_or_find], so every writer stores the same value"];
     d
+  end
 
 let bucket_for t k =
   let size = Atomic.get t.size in

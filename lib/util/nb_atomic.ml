@@ -17,6 +17,7 @@ module type ATOMIC = sig
   type 'a t = 'a Stdlib.Atomic.t
 
   val make : 'a -> 'a t
+  val make_contended : 'a -> 'a t
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
   val exchange : 'a t -> 'a -> 'a
@@ -39,11 +40,32 @@ let label_to_string = function
 
 type _ Effect.t += Step : label -> unit Effect.t
 
+(* An atomic alone on its cache line, as OCaml 5.2's
+   [Atomic.make_contended] builds it: a block whose field 0 is the
+   value and whose other fields are padding, so that writes to a hot
+   counter do not invalidate the line of a neighbour that is read on
+   every operation. With 15 padding words after the value, nothing
+   allocated after the block shares the value's line or the next one
+   (adjacent-line prefetchers fetch lines in pairs). Every
+   [Stdlib.Atomic] operation reads and writes field 0 of its block
+   only, so the padded block is an ['a t]. The fields past 0 stay unit,
+   which the GC scans as immediates. *)
+let contended_fields = 16
+
+let make_contended (v : 'a) : 'a Stdlib.Atomic.t =
+  let b = Obj.new_block 0 contended_fields in
+  Obj.set_field b 0 (Obj.repr v);
+  (Obj.magic b
+  [@nbhash.magic_ok
+    "a tag-0 block whose field 0 holds the value has the layout of an \
+     atomic; the extra fields are never read as atomics"])
+
 (* The production backend: [Stdlib.Atomic] verbatim. *)
 module Real : ATOMIC = struct
   type 'a t = 'a Stdlib.Atomic.t
 
   let make = Stdlib.Atomic.make
+  let make_contended = make_contended
   let get = Stdlib.Atomic.get
   let set = Stdlib.Atomic.set
   let exchange = Stdlib.Atomic.exchange
@@ -63,6 +85,7 @@ module Traced : ATOMIC = struct
   type 'a t = 'a Stdlib.Atomic.t
 
   let make v = Stdlib.Atomic.make v
+  let make_contended = make_contended
 
   let get r =
     Effect.perform (Step Get);
@@ -99,6 +122,7 @@ end
 let tracing = ref false
 
 let[@inline] make v = Stdlib.Atomic.make v
+let make_contended = make_contended
 let[@inline] get r = if !tracing then Traced.get r else Stdlib.Atomic.get r
 let[@inline] set r v = if !tracing then Traced.set r v else Stdlib.Atomic.set r v
 

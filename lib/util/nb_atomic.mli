@@ -21,6 +21,11 @@ module type ATOMIC = sig
   type 'a t = 'a Stdlib.Atomic.t
 
   val make : 'a -> 'a t
+
+  val make_contended : 'a -> 'a t
+  (** An atomic padded to a cache line of its own, for a hot counter
+      that writers update while readers load its neighbours. *)
+
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
   val exchange : 'a t -> 'a -> 'a
@@ -57,6 +62,12 @@ val tracing : bool ref
 (** The flag-switched default used by the libraries. *)
 
 val make : 'a -> 'a t
+
+val make_contended : 'a -> 'a t
+(** An atomic padded to a cache line of its own (OCaml 5.2's
+    [Atomic.make_contended]): creating it is not a scheduling point,
+    and every other operation treats it as any atomic. *)
+
 val get : 'a t -> 'a
 val set : 'a t -> 'a -> unit
 val exchange : 'a t -> 'a -> 'a

@@ -71,6 +71,7 @@ let () =
   expect_fail Scenarios.broken;
   expect_fail Scenarios.broken_sweep;
   expect_fail Scenarios.broken_flat;
+  expect_fail Scenarios.broken_ordered_list;
   if !failures > 0 then begin
     Printf.printf "%d scenario(s) failed\n%!" !failures;
     exit 1

@@ -371,6 +371,90 @@ module Flat_slot_races = struct
     (threads, fset_verdict r)
 end
 
+(* Races on the bare ordered list under SplitOrder and Michael's
+   table: an insert linking after a cell that is being removed, two
+   removes of one key, and a lookup walking through a cell while it is
+   unlinked. The verdict probes the keys after the race, checks the
+   order, and replays the history against the set model. *)
+module type ORDERED_LIST = sig
+  type node
+
+  val make_head : unit -> node
+  val insert : start:node -> int -> bool
+  val remove : start:node -> int -> bool
+  val mem : start:node -> int -> bool
+  val check_sorted : start:node -> unit
+end
+
+module Ordered_list_races (L : ORDERED_LIST) = struct
+  let setup keys =
+    let head = L.make_head () in
+    let r = Record.make () in
+    List.iter
+      (fun k ->
+        ignore (Record.record r (Lin.Set_model.Ins k) (fun () -> L.insert ~start:head k)))
+      keys;
+    (head, r)
+
+  let record r head op =
+    ignore
+      (Record.record r op (fun () ->
+           match op with
+           | Lin.Set_model.Ins k -> L.insert ~start:head k
+           | Lin.Set_model.Rem k -> L.remove ~start:head k
+           | Lin.Set_model.Mem k -> L.mem ~start:head k))
+
+  let verdict ~keys head r () =
+    List.iter (fun k -> record r head (Lin.Set_model.Mem k)) keys;
+    match L.check_sorted ~start:head with
+    | exception Failure msg -> Error ("order violation: " ^ msg)
+    | () ->
+      let evs = Record.events r in
+      if Lin.Set.check evs then Ok ()
+      else
+        Error
+          (Format.asprintf "ordered-list history is not linearizable:@.%a"
+             Lin.Set.pp_history evs)
+
+  (* The insert of 2 links after cell 1 while 1 is removed: the mark on
+     1's link must fail the insert's CAS, or the unlink of 1 cuts 2
+     out with it. *)
+  let insert_vs_remove_pred () =
+    let head, r = setup [ 1 ] in
+    let threads =
+      [|
+        (fun () -> record r head (Lin.Set_model.Rem 1));
+        (fun () -> record r head (Lin.Set_model.Ins 2));
+      |]
+    in
+    (threads, verdict ~keys:[ 1; 2 ] head r)
+
+  (* Exactly one of two removes of the same key wins the mark. *)
+  let double_remove () =
+    let head, r = setup [ 1; 2 ] in
+    let threads =
+      [|
+        (fun () -> record r head (Lin.Set_model.Rem 1));
+        (fun () -> record r head (Lin.Set_model.Rem 1));
+      |]
+    in
+    (threads, verdict ~keys:[ 1; 2 ] head r)
+
+  (* A lookup walks through cell 2 while its remover marks and unlinks
+     it: 3 stays reachable, and 2 reads present only before the mark. *)
+  let mem_during_unlink () =
+    let head, r = setup [ 1; 2; 3 ] in
+    let threads =
+      [|
+        (fun () -> record r head (Lin.Set_model.Rem 2));
+        (fun () ->
+          record r head (Lin.Set_model.Mem 3);
+          record r head (Lin.Set_model.Mem 2));
+      |]
+    in
+    (threads, verdict ~keys:[ 2; 3 ] head r)
+end
+
 module Lf_array = Freeze_vs_update (Nbhash_fset.Lf_array_fset)
 module Lf_list = Freeze_vs_update (Nbhash_fset.Lf_list_fset)
 module Ulist = Freeze_vs_update (Nbhash_fset.Ulist_fset)
@@ -389,7 +473,10 @@ module LFArray_sweep = Sweep_races (Nbhash.Tables.LFArray)
 module WFArray_sweep = Sweep_races (Nbhash.Tables.WFArray)
 module LFArrayOpt_sweep = Sweep_races (Nbhash.Tables.LFArrayOpt)
 module AdaptiveOpt_sweep = Sweep_races (Nbhash.Tables.AdaptiveOpt)
+module Ordered_list = Ordered_list_races (Nbhash_splitorder.Ordered_list)
+module SplitOrder = Table_races (Nbhash_splitorder.Split_ordered)
 module Broken = Freeze_vs_update (Broken_fset)
+module Broken_ordered_list = Ordered_list_races (Broken_ordered_list)
 module Broken_flat = Freeze_vs_update (Broken_flat_fset)
 
 (* Every shipped implementation must pass bounded exploration of
@@ -428,6 +515,13 @@ let all : (string * Explore.scenario) list =
     ("adaptiveopt sweep helper vs lazy init", AdaptiveOpt_sweep.helper_vs_lazy);
     ( "adaptiveopt sweep vs grow-shrink",
       AdaptiveOpt_sweep.sweep_vs_grow_shrink );
+    ( "ordered-list insert vs remove of pred",
+      Ordered_list.insert_vs_remove_pred );
+    ("ordered-list double remove", Ordered_list.double_remove);
+    ("ordered-list mem during unlink", Ordered_list.mem_during_unlink);
+    ("splitorder grow during insert", SplitOrder.grow_during_insert);
+    ("splitorder shrink during contains", SplitOrder.shrink_during_contains);
+    ("splitorder grow vs grow", SplitOrder.grow_vs_grow);
   ]
 
 (* ... and the deliberately broken FSet (no [ok] re-check on the retry
@@ -441,6 +535,13 @@ let broken : string * Explore.scenario =
    snapshot that excludes the applied insert — non-linearizable. *)
 let broken_flat : string * Explore.scenario =
   ("broken-flat sealed-slot claim (expected violation)", Broken_flat.scenario)
+
+(* The broken ordered list: a remove that unlinks without marking. An
+   insert that links after the victim before the unlinking CAS is cut
+   out with it, so its applied insert is gone. *)
+let broken_ordered_list : string * Explore.scenario =
+  ( "broken-ordered-list unmarked unlink (expected violation)",
+    Broken_ordered_list.insert_vs_remove_pred )
 
 (* The broken chunk claimer: a stale-head insert races the no-freeze
    sweep. The update's success must imply membership; the missing

@@ -65,6 +65,16 @@ let test_only_fixture_rules () =
         (List.mem v.rule Analyze_rules.all_rules))
     (Lazy.force violations)
 
+(* The audit list: the attributed [Obj.magic] of fix_blocking.ml is
+   listed, the bare one (flagged instead) is not. *)
+let test_magic_ok_sites () =
+  let sites =
+    Analyze_rules.magic_ok_sites (cmt_files (fixture_dir ()))
+    |> List.map (fun (f, l) -> (Filename.basename f, l))
+  in
+  Alcotest.(check (list (pair string int)))
+    "allowed Obj.magic sites" [ ("fix_blocking.ml", 13) ] sites
+
 let suite =
   [
     ( "analyze",
@@ -84,6 +94,8 @@ let suite =
           (check_fires "fix_blocking.ml" "obj-magic");
         Alcotest.test_case "reasonless attribute -> attr-reason" `Quick
           (check_fires "fix_blocking.ml" "attr-reason");
+        Alcotest.test_case "magic_ok sites are listed" `Quick
+          test_magic_ok_sites;
         Alcotest.test_case "clean fixture stays clean" `Quick test_clean;
         Alcotest.test_case "violations carry exact locations" `Quick
           test_locations;

@@ -12,4 +12,4 @@ let () =
    @ Test_trace.suite @ Test_profile.suite @ Test_churn.suite
    @ Test_inspect.suite @ Test_openmetrics.suite
    @ Test_protocol.suite @ Test_server.suite
-   @ Test_lint.suite @ Test_analyze.suite)
+   @ Test_lint.suite @ Test_analyze.suite @ Test_alloc.suite)

@@ -41,7 +41,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let write_json path ~dirs ~units ~violations =
+let write_json path ~dirs ~units ~violations ~magic_ok =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n  \"schema\": \"nbhash-analyze-v1\",\n";
@@ -56,6 +56,12 @@ let write_json path ~dirs ~units ~violations =
        (List.map
           (fun r -> Printf.sprintf "\"%s\": %d" r (count r))
           Analyze_rules.all_rules));
+  out "  \"magic_ok_sites\": [%s],\n"
+    (String.concat ", "
+       (List.map
+          (fun (f, l) ->
+            Printf.sprintf "{\"file\": \"%s\", \"line\": %d}" (json_escape f) l)
+          magic_ok));
   out "  \"violations\": [";
   List.iteri
     (fun i (v : Analyze_rules.violation) ->
@@ -111,10 +117,15 @@ let () =
       Printf.eprintf "analyze: %s\n" msg;
       exit 2
   | violations, units ->
-      Option.iter (fun f -> write_json f ~dirs ~units ~violations) !json;
+      let magic_ok = Analyze_rules.magic_ok_sites cmts in
+      Option.iter
+        (fun f -> write_json f ~dirs ~units ~violations ~magic_ok)
+        !json;
       if violations = [] then begin
-        Printf.printf "analyze: %d units clean (%s)\n" units
-          (String.concat " " dirs);
+        Printf.printf "analyze: %d units clean (%s); %d magic_ok site(s)%s\n"
+          units (String.concat " " dirs) (List.length magic_ok)
+          (String.concat ""
+             (List.map (fun (f, l) -> Printf.sprintf " %s:%d" f l) magic_ok));
         exit 0
       end
       else begin

@@ -813,13 +813,52 @@ let check_unit ~shared ~flagged_fields ~allowed_fields (u : facts) ~viol =
   it.structure it u.u_str;
   flush_scope ()
 
+(* ---------- Obj.magic sites ---------- *)
+
+(* Every [Obj.magic] of a unit, with whether a [@nbhash.magic_ok]
+   attribute on it or an enclosing expression allows it. *)
+let magic_sites str =
+  let sites = ref [] in
+  let allowed = ref false in
+  let expr it (e : expression) =
+    let saved = !allowed in
+    if
+      List.exists
+        (fun (a : Parsetree.attribute) ->
+          allow_of_name a.attr_name.txt = Some Magic_ok)
+        e.exp_attributes
+    then allowed := true;
+    (match e.exp_desc with
+    | Texp_ident (p, lid, _)
+      when String.concat "." (path_components p) = "Stdlib.Obj.magic" ->
+        sites := (lid.loc, !allowed) :: !sites
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e;
+    allowed := saved
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it str;
+  List.rev !sites
+
 (* ---------- driver ---------- *)
 
-(* The shim itself is the one place allowed to touch Stdlib.Atomic. *)
+(* The shim itself is the one place allowed to touch Stdlib.Atomic.
+   Of the other rules only obj-magic applies to it: its padded atomic
+   needs one [Obj.magic], which must carry its reason like any other. *)
 let exempt_unit modname =
   match List.rev (split_mangled modname) with
   | "Nb_atomic" :: _ -> true
   | _ -> false
+
+let check_exempt_magic ~cmt_path str ~viol =
+  List.iter
+    (fun (loc, allowed) ->
+      if not allowed then
+        viol
+          (mkviol ~loc ~fallback_file:cmt_path rule_magic
+             "Obj.magic is forbidden in the nonblocking libraries \
+              ([@nbhash.magic_ok \"reason\"] to override)"))
+    (magic_sites str)
 
 let load_cmt path =
   match Cmt_format.read_cmt path with
@@ -846,14 +885,16 @@ let analyze cmt_paths =
         match load_cmt path with
         | Error msg -> failwith msg
         | Ok infos -> (
-            if exempt_unit infos.Cmt_format.cmt_modname then None
-            else
-              match infos.Cmt_format.cmt_annots with
-              | Cmt_format.Implementation str ->
-                  Some
-                    (collect_facts ~cmt_path:path
-                       ~modname:infos.Cmt_format.cmt_modname str ~viol)
-              | _ -> None))
+            match infos.Cmt_format.cmt_annots with
+            | Cmt_format.Implementation str
+              when exempt_unit infos.Cmt_format.cmt_modname ->
+                check_exempt_magic ~cmt_path:path str ~viol;
+                None
+            | Cmt_format.Implementation str ->
+                Some
+                  (collect_facts ~cmt_path:path
+                     ~modname:infos.Cmt_format.cmt_modname str ~viol)
+            | _ -> None))
       cmt_paths
   in
   let shared = propagate units in
@@ -905,3 +946,21 @@ let debug_shared cmt_paths =
   in
   let shared = propagate units in
   Hashtbl.fold (fun k () acc -> k :: acc) shared [] |> List.sort compare
+
+(* [(file, line)] of every allowed [Obj.magic], the shim's included:
+   the audit list the analyzer prints. *)
+let magic_ok_sites cmt_paths =
+  List.concat_map
+    (fun path ->
+      match load_cmt path with
+      | Error msg -> failwith msg
+      | Ok { Cmt_format.cmt_annots = Cmt_format.Implementation str; _ } ->
+          List.filter_map
+            (fun (loc, allowed) ->
+              if allowed then
+                let file, line, _ = loc_triple loc in
+                Some (file, line)
+              else None)
+            (magic_sites str)
+      | Ok _ -> [])
+    cmt_paths
