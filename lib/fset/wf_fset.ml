@@ -1,148 +1,39 @@
 module Atomic = Nbhash_util.Nb_atomic
 
 module Make (E : Elems.S) : Fset_intf.WF = struct
-  module Tm = Nbhash_telemetry.Global
-  module Ev = Nbhash_telemetry.Event
+  module S = Wf_slot.Make (struct
+    include Wf_slot.Set (E)
 
-  let site_freeze =
-    Nbhash_telemetry.Site.register ("wf_fset(" ^ E.id ^ ")/freeze")
+    let id = "wf_fset(" ^ E.id ^ ")"
+  end)
 
-  let site_invoke =
-    Nbhash_telemetry.Site.register ("wf_fset(" ^ E.id ^ ")/invoke")
-
-  let infinity_prio = max_int
-
-  type op = {
-    kind : Fset_intf.kind;
-    key : int;
-    resp : bool Atomic.t;
-    prio : int Atomic.t;
-  }
-
-  type slot = Empty | Frozen | Pending of op
-  type node = { elems : E.t; slot : slot Atomic.t }
-  type t = { node : node Atomic.t; flag : bool Atomic.t }
+  type op = unit S.op
+  type t = { node : unit S.node Atomic.t; flag : bool Atomic.t }
 
   let id = "wf-" ^ E.id
+  let infinity_prio = S.infinity_prio
 
   let create elems =
-    {
-      node = Atomic.make { elems = E.of_array elems; slot = Atomic.make Empty };
-      flag = Atomic.make false;
-    }
+    { node = Atomic.make (S.fresh (E.of_array elems)); flag = Atomic.make false }
 
-  let make_op kind key ~prio =
-    { kind; key; resp = Atomic.make false; prio = Atomic.make prio }
-
-  let op_kind op = op.kind
-  let op_key op = op.key
-  let op_prio op = Atomic.get op.prio
-  let op_is_done op = Atomic.get op.prio = infinity_prio
-  let get_response op = Atomic.get op.resp
-
-  (* Complete the pending operation of the current node, if any. All
-     helpers compute the same (resp, elems) from the same immutable
-     (node, op) pair, so the racy writes below are idempotent; the
-     node CAS succeeds for exactly one helper. Setting [prio] to
-     infinity is the abstract [done := true]. *)
-  let help_finish t =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Empty | Frozen -> ()
-    | Pending op ->
-      let present = E.mem o.elems op.key in
-      let resp, elems =
-        match op.kind with
-        | Fset_intf.Ins ->
-          (not present, if present then o.elems else E.add o.elems op.key)
-        | Fset_intf.Rem ->
-          (present, if present then E.remove o.elems op.key else o.elems)
-      in
-      Atomic.set op.resp resp;
-      Atomic.set op.prio infinity_prio;
-      ignore
-        (Atomic.compare_and_set t.node o { elems; slot = Atomic.make Empty })
-      [@nbhash.cas_ok
-        "helping: all helpers derive the same successor node from the same \
-         immutable (node, op) pair; exactly one CAS installs it"]
-
-  (* Once a slot is CASed from Empty to Frozen its node can never be
-     replaced (replacement requires a completed Pending), so the set
-     is permanently immutable from that point. *)
-  let rec do_freeze t =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Frozen -> ()
-    | Empty ->
-      if Atomic.compare_and_set o.slot Empty Frozen then Tm.emit Ev.Freeze
-      else begin
-        Tm.cas_retry site_freeze;
-        do_freeze t
-      end
-    | Pending _ ->
-      help_finish t;
-      do_freeze t
-
-  let freeze t =
-    Atomic.set t.flag true;
-    do_freeze t;
-    E.to_array (Atomic.get t.node).elems
-
-  let rec invoke t op =
-    if op_is_done op then true
-    else begin
-      let o = Atomic.get t.node in
-      match Atomic.get o.slot with
-      | Frozen -> op_is_done op
-      | (Empty | Pending _) as s ->
-        if Atomic.get t.flag then begin
-          do_freeze t;
-          op_is_done op
-        end
-        else begin
-          match s with
-          | Empty ->
-            if op_is_done op then true
-            else if Atomic.compare_and_set o.slot Empty (Pending op) then begin
-              help_finish t;
-              true
-            end
-            else begin
-              Tm.cas_retry site_invoke;
-              invoke t op
-            end
-          | Frozen -> op_is_done op
-          | Pending _ ->
-            help_finish t;
-            invoke t op
-        end
-    end
+  let make_op = S.make_op
+  let op_kind op = op.S.action
+  let op_key op = op.S.key
+  let op_prio op = Atomic.get op.S.prio
+  let op_is_done = S.op_is_done
+  let get_response op = Atomic.get op.S.result
+  let invoke t op = S.invoke t.node t.flag op
+  let freeze t = E.to_array (S.freeze t.flag t.node)
 
   let has_member t k =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Pending op when op.key = k -> op.kind = Fset_intf.Ins
-    | Empty | Frozen | Pending _ -> E.mem o.elems k
+    match Atomic.get t.node with
+    | S.Uninit -> assert false
+    | S.N n -> (
+      match Atomic.get n.status with
+      | S.Pending op when op.key = k -> op.action = Fset_intf.Ins
+      | S.Empty | S.Frozen | S.Pending _ -> E.mem n.elems k)
 
-  (* The logical contents include any installed (hence linearized)
-     pending operation. *)
-  let elements t =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Empty | Frozen -> E.to_array o.elems
-    | Pending op ->
-      let present = E.mem o.elems op.key in
-      let elems =
-        match op.kind with
-        | Fset_intf.Ins -> if present then o.elems else E.add o.elems op.key
-        | Fset_intf.Rem -> if present then E.remove o.elems op.key else o.elems
-      in
-      E.to_array elems
-
-  let size t = E.length (Atomic.get t.node).elems
-
-  let is_frozen t =
-    match Atomic.get (Atomic.get t.node).slot with
-    | Frozen -> true
-    | Empty | Pending _ -> false
+  let elements t = E.to_array (S.contents (Atomic.get t.node))
+  let size t = S.size (Atomic.get t.node)
+  let is_frozen t = S.is_frozen (Atomic.get t.node)
 end

@@ -1,18 +1,15 @@
 (** The cooperative wait-free FSet of Figure 6, as a functor over the
-    immutable element representation.
+    immutable element representation: the {!Wf_slot} protocol on one
+    node atomic and one freeze-intent flag.
 
-    Contending threads synchronize on the [op] slot of the current
-    FSetNode: an operation is first installed into the slot by CAS
-    (its linearization point), then any thread can complete it
-    ([help_finish]) by computing the result set, publishing the
-    response, marking the operation done (priority becomes infinity),
-    and swinging the node pointer. Freezing first raises a per-set
-    [flag] so in-flight invokers stand down, then CASes the slot to a
-    permanent [Frozen] marker; a node whose slot is [Frozen] can never
-    be replaced, which makes the freeze permanent.
+    Contending threads synchronize on the status word of the current
+    FSetNode: an operation is first installed by CAS (its linearization
+    point), then any thread can complete it. Freezing first raises the
+    per-set flag so in-flight invokers stand down, then CASes the
+    status to a permanent [Frozen] marker.
 
     The implementation is lock-free on its own; wait-freedom of table
     operations comes from the announce-and-help protocol in
-    {!Nbhash.Wf_hashset} (paper section 5). *)
+    {!Nbhash.Announce} (paper section 5). *)
 
 module Make (E : Elems.S) : Fset_intf.WF

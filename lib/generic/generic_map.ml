@@ -31,16 +31,13 @@ module Make (K : Hashtbl.HashedType) = struct
   type 'v t = 'v Core.t
   type 'v handle = { table : 'v t; local : Policy.Trigger.local }
 
-  let pairs_find pairs k =
-    let n = Array.length pairs in
-    let rec go i =
-      if i >= n then None
-      else begin
-        let ki, v = pairs.(i) in
-        if K.equal ki k then Some (i, v) else go (i + 1)
-      end
-    in
-    go 0
+  (* The index of [k]'s pair, or -1, as [Pair_bucket.find]. *)
+  let rec pairs_find_from pairs k i =
+    if i >= Array.length pairs then -1
+    else if K.equal (fst pairs.(i)) k then i
+    else pairs_find_from pairs k (i + 1)
+
+  let pairs_find pairs k = pairs_find_from pairs k 0
 
   let create ?(policy = Policy.default) () = Core.create policy
   let seed = Atomic.make 0x6e4
@@ -87,8 +84,8 @@ module Make (K : Hashtbl.HashedType) = struct
     let hk = hash k in
     let prev =
       with_bucket h.table hk (fun pairs ->
-          let found = pairs_find pairs k in
-          (Option.map snd found, Some (Pair_bucket.set pairs found (k, v))))
+          let i = pairs_find pairs k in
+          (Pair_bucket.binding pairs i, Some (Pair_bucket.set pairs i (k, v))))
     in
     Core.after_insert h.table h.local ~key:hk ~resp:(Option.is_none prev);
     prev
@@ -96,9 +93,9 @@ module Make (K : Hashtbl.HashedType) = struct
   let remove h k =
     let prev =
       with_bucket h.table (hash k) (fun pairs ->
-          match pairs_find pairs k with
-          | Some (i, v) -> (Some v, Some (Pair_bucket.remove pairs i))
-          | None -> (None, None))
+          let i = pairs_find pairs k in
+          if i < 0 then (None, None)
+          else (Pair_bucket.binding pairs i, Some (Pair_bucket.remove pairs i)))
     in
     Core.after_remove h.table h.local ~resp:(Option.is_some prev);
     prev
@@ -107,25 +104,27 @@ module Make (K : Hashtbl.HashedType) = struct
     let hk = hash k in
     let was_absent =
       with_bucket h.table hk (fun pairs ->
-          let found = pairs_find pairs k in
-          let cur = Option.map snd found in
-          (Option.is_none cur, Some (Pair_bucket.set pairs found (k, f cur))))
+          let i = pairs_find pairs k in
+          let v = f (Pair_bucket.binding pairs i) in
+          (i < 0, Some (Pair_bucket.set pairs i (k, v))))
     in
     Core.after_insert h.table h.local ~key:hk ~resp:was_absent
 
   let get h k =
     let hn = Atomic.get h.table.Core.head in
     let i = hash k land hn.Core.mask in
-    let lookup pairs = Option.map snd (pairs_find pairs k) in
-    match Atomic.get hn.Core.buckets.(i) with
-    | Cow_bucket.Node n -> lookup n.elems
-    | Cow_bucket.Uninit ->
-      let slot =
-        match Atomic.get hn.Core.pred with
-        | Some s -> s.Core.buckets.(hash k land s.Core.mask)
-        | None -> hn.Core.buckets.(i)
-      in
-      lookup (Cow_bucket.contents (Atomic.get slot))
+    let pairs =
+      match Atomic.get hn.Core.buckets.(i) with
+      | Cow_bucket.Node n -> n.elems
+      | Cow_bucket.Uninit ->
+        let slot =
+          match Atomic.get hn.Core.pred with
+          | Some s -> s.Core.buckets.(hash k land s.Core.mask)
+          | None -> hn.Core.buckets.(i)
+        in
+        Cow_bucket.contents (Atomic.get slot)
+    in
+    Pair_bucket.binding pairs (pairs_find pairs k)
 
   let mem h k = Option.is_some (get h k)
   let bindings t = Array.to_list (Core.elements t)

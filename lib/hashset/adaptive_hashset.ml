@@ -34,34 +34,30 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
   let slow_path_entries h = h.wh.W.slow_entries
 
   (* Fast path: the lock-free APPLY, with a private (never-announced)
-     operation. The operation is abandoned only when it was never
-     applied — invoke returning false means the bucket was frozen and
-     the op not installed — so retrying on the slow path with a fresh
-     op cannot double-apply. *)
-  let fast_apply t kind k =
-    let op = F.make_op kind k ~prio:0 in
-    let rec attempt failures =
-      if failures >= t.fast_threshold then None
-      else begin
-        let hn = Atomic.get t.w.W.core.W.Core.head in
-        let b = W.Core.bucket_for hn k in
-        if F.invoke b op then Some (F.get_response op)
-        else attempt (failures + 1)
-      end
-    in
-    attempt 0
+     operation; [true] once it is applied. The operation is abandoned
+     only when it was never applied — invoke returning false means the
+     bucket was frozen and the op not installed — so retrying on the
+     slow path with a fresh op cannot double-apply. A loop over
+     arguments, so it allocates no closure. *)
+  let rec fast_apply t op k failures =
+    failures < t.fast_threshold
+    &&
+    let hn = Atomic.get t.w.W.core.W.Core.head in
+    F.invoke (W.Core.bucket_for hn k) op || fast_apply t op k (failures + 1)
 
   let apply h kind k =
     let t = h.t in
     let wh = h.wh in
     wh.W.ops <- wh.W.ops + 1;
-    if wh.W.ops land t.help_mask = 0 then W.help_lowest t.w;
+    if wh.W.ops land t.help_mask = 0 then
+      W.A.help_lowest t.w.W.announce t.w.W.core;
     Tm.emit Ev.Fastpath_entry;
-    match fast_apply t kind k with
-    | Some resp -> resp
-    | None ->
+    let op = F.make_op kind k ~prio:0 in
+    if fast_apply t op k 0 then F.get_response op
+    else begin
       wh.W.slow_entries <- wh.W.slow_entries + 1;
       W.slow_apply wh kind k
+    end
 
   let insert h k =
     Hashset_intf.check_key k;
@@ -89,7 +85,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
 
   let inspect t =
     W.Core.inspect t.w.W.core
-      ~announce_pending:(Array.length (W.announced t.w))
+      ~announce_pending:(Array.length (W.pending_ops t.w))
 
-  let pending_ops t = W.announced t.w
+  let pending_ops t = W.pending_ops t.w
 end

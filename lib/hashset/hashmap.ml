@@ -67,8 +67,8 @@ let put h k v =
   Hashset_intf.check_key k;
   let prev =
     with_bucket h.table k (fun pairs ->
-        let found = Pair_bucket.find pairs k in
-        (Option.map snd found, Some (Pair_bucket.set pairs found (k, v))))
+        let i = Pair_bucket.find pairs k in
+        (Pair_bucket.binding pairs i, Some (Pair_bucket.set pairs i (k, v))))
   in
   Core.after_insert h.table h.local ~key:k ~resp:(Option.is_none prev);
   prev
@@ -77,9 +77,9 @@ let remove h k =
   Hashset_intf.check_key k;
   let prev =
     with_bucket h.table k (fun pairs ->
-        match Pair_bucket.find pairs k with
-        | Some (i, v) -> (Some v, Some (Pair_bucket.remove pairs i))
-        | None -> (None, None))
+        let i = Pair_bucket.find pairs k in
+        if i < 0 then (None, None)
+        else (Pair_bucket.binding pairs i, Some (Pair_bucket.remove pairs i)))
   in
   Core.after_remove h.table h.local ~resp:(Option.is_some prev);
   prev
@@ -88,26 +88,24 @@ let update h k f =
   Hashset_intf.check_key k;
   let was_absent =
     with_bucket h.table k (fun pairs ->
-        let found = Pair_bucket.find pairs k in
-        let cur = Option.map snd found in
-        (Option.is_none cur, Some (Pair_bucket.set pairs found (k, f cur))))
+        let i = Pair_bucket.find pairs k in
+        let v = f (Pair_bucket.binding pairs i) in
+        (i < 0, Some (Pair_bucket.set pairs i (k, v))))
   in
   Core.after_insert h.table h.local ~key:k ~resp:was_absent
 
 let get h k =
   Hashset_intf.check_key k;
-  let t = h.table in
-  let hn = Atomic.get t.Core.head in
-  let lookup pairs = Option.map snd (Pair_bucket.find pairs k) in
+  let hn = Atomic.get h.table.Core.head in
   match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
-  | Node n -> lookup n.elems
+  | Node n -> Pair_bucket.lookup n.elems k
   | Uninit ->
     let slot =
       match Atomic.get hn.Core.pred with
       | Some s -> s.Core.buckets.(k land s.Core.mask)
       | None -> hn.Core.buckets.(k land hn.Core.mask)
     in
-    lookup (Cow_bucket.contents (Atomic.get slot))
+    Pair_bucket.lookup (Cow_bucket.contents (Atomic.get slot)) k
 
 let mem h k = Option.is_some (get h k)
 let bindings t = Array.to_list (Core.elements t)

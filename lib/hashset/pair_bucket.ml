@@ -5,31 +5,34 @@
 
 type 'v elt = int * 'v
 
-let find pairs k =
-  let n = Array.length pairs in
-  let rec go i =
-    if i >= n then None
-    else begin
-      let ki, v = pairs.(i) in
-      if ki = k then Some (i, v) else go (i + 1)
-    end
-  in
-  go 0
+let rec find_from (pairs : 'v elt array) k i =
+  if i >= Array.length pairs then -1
+  else if fst pairs.(i) = k then i
+  else find_from pairs k (i + 1)
 
-(* [pairs] with the binding [p] in place of the pair at index [i] of
-   [found = Some (i, _)], or appended when [found] is [None]. Key-type
-   agnostic, so the generic map shares it. *)
-let set pairs found p =
-  match found with
-  | Some (i, _) ->
+(* The index of [k]'s pair, or -1 when [k] is unbound. A loop over
+   arguments, so a lookup allocates nothing. *)
+let find pairs k = find_from pairs k 0
+
+(* The value at index [i] of a [find], as an option. *)
+let binding pairs i = if i < 0 then None else Some (snd pairs.(i))
+let lookup pairs k = binding pairs (find pairs k)
+
+(* [pairs] with the binding [p] in place of the pair at index [i], or
+   appended when [i] is -1. Key-type agnostic, so the generic map
+   shares it. *)
+let set pairs i p =
+  if i >= 0 then begin
     let b = Array.copy pairs in
     b.(i) <- p;
     b
-  | None ->
+  end
+  else begin
     let n = Array.length pairs in
     let b = Array.make (n + 1) p in
     Array.blit pairs 0 b 0 n;
     b
+  end
 [@@nbhash.plain_ok
   "copy-on-write: [b] is freshly allocated here and stays private until \
    published by a bucket CAS"]

@@ -15,19 +15,39 @@
     bucket is installed by CAS, an abstract-state-preserving step.
 
     The core is a functor over the bucket ({!BUCKET}): what one slot of
-    the bucket array holds and how it freezes. The variants keep their
-    own operation paths (APPLY, CONTAINS, the announce arrays) and read
-    the records below directly, so their hot paths make no call through
-    the functor. *)
+    the bucket array holds and how it freezes. Two bucket layouts are
+    built here too: {!Fset}, a slot holding an FSet object, and
+    {!Wf_slots}, a slot holding a wait-free FSetNode inline. The
+    variants keep their own operation paths (APPLY, CONTAINS) and read
+    the records below directly, so their lookups make no call through
+    the functor; the wait-free ones announce through {!Announce}. *)
 
 module Atomic = Nbhash_util.Nb_atomic
 
-(** One bucket layout. A slot is the value held by one atomic of the
-    bucket array; its entries are keys for sets and (key, value) pairs
-    for maps, and ['v] is the map's value type (unused by sets). *)
-module type BUCKET = sig
-  type 'v slot
+(** The entries of one bucket layout: keys for sets and (key, value)
+    pairs for maps; ['v] is the map's value type (unused by sets). *)
+module type KEYS = sig
   type 'v elt
+
+  val split : 'v elt array -> mask:int -> target:int -> 'v elt array
+  (** The entries whose {!hash} land [mask] is [target]. *)
+
+  val merge : 'v elt array -> 'v elt array -> 'v elt array
+  (** Union of two key-disjoint entry arrays. *)
+
+  val hash : 'v elt -> int
+  (** The non-negative hash that places an entry: bucket [hash e land
+      mask]. *)
+
+  val same_key : 'v elt -> 'v elt -> bool
+end
+
+(** One bucket layout. A slot is the value held by one atomic of the
+    bucket array. *)
+module type BUCKET = sig
+  include KEYS
+
+  type 'v slot
 
   type side
   (** Per-HNode state kept beside the slots, made by {!make_side}: the
@@ -50,12 +70,6 @@ module type BUCKET = sig
       predecessor HNode immutable and returns its final entries.
       Idempotent; every caller gets the same entries. *)
 
-  val split : 'v elt array -> mask:int -> target:int -> 'v elt array
-  (** The entries whose {!hash} land [mask] is [target]. *)
-
-  val merge : 'v elt array -> 'v elt array -> 'v elt array
-  (** Union of two key-disjoint entry arrays. *)
-
   val size : 'v slot -> int
   (** Entry count of an initialized slot, for the resize policy. *)
 
@@ -65,12 +79,6 @@ module type BUCKET = sig
 
   val is_frozen : 'v slot -> bool
   (** Of an initialized slot. *)
-
-  val hash : 'v elt -> int
-  (** The non-negative hash that places an entry: bucket [hash e land
-      mask]. *)
-
-  val same_key : 'v elt -> 'v elt -> bool
 end
 
 (* Integer keys, as every set variant stores them. *)
@@ -461,4 +469,57 @@ module Fset (F : Nbhash_fset.Fset_intf.CORE) = struct
       assert (b != Bucket.uninit);
       F.has_member b k
     end
+end
+
+(* The wait-free-slot bucket of AdaptiveOpt and the wait-free map: each
+   slot holds a {!Nbhash_fset.Wf_slot} node inline, and the per-bucket
+   freeze-intent flags ride beside the slots. [Op] is what
+   {!Announce.Make} needs to drive one of its operations. *)
+module Wf_slots
+    (K : KEYS)
+    (P : Nbhash_fset.Wf_slot.PAYLOAD with type 'v elems = 'v K.elt array) =
+struct
+  module S = Nbhash_fset.Wf_slot.Make (P)
+
+  module Bucket = struct
+    include K
+
+    type 'v slot = 'v S.node
+    type side = bool Atomic.t array
+
+    let uninit = S.Uninit
+    let make_side size = Array.init size (fun _ -> Atomic.make false)
+    let build = S.fresh
+    let freeze flags slots i = S.freeze flags.(i) slots.(i)
+    let size = S.size
+    let contents = S.contents
+    let is_frozen = S.is_frozen
+  end
+
+  include Make (Bucket)
+
+  (* INVOKE on the bucket of [hn] that owns [op]'s key: [false] only if
+     that bucket froze first, which implies the head changed. *)
+  let invoke_bucket hn op =
+    let i = op.S.key land hn.mask in
+    if Atomic.get hn.buckets.(i) == S.Uninit then init_bucket hn i;
+    S.invoke hn.buckets.(i) hn.side.(i) op
+
+  module Op = struct
+    type 'v ctx = 'v t
+    type 'v action = 'v P.action
+    type 'v result = 'v P.result
+    type 'v op = 'v S.op
+
+    let infinity_prio = S.infinity_prio
+    let make_op = S.make_op
+    let op_prio op = Atomic.get op.S.prio
+    let response op = Atomic.get op.S.result
+
+    (* Re-resolving the bucket after a failed invoke makes progress;
+       stops as soon as the operation is done, possibly by a helper. *)
+    let rec drive t op =
+      if not (S.op_is_done op || invoke_bucket (Atomic.get t.head) op) then
+        drive t op
+  end
 end

@@ -44,7 +44,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) : Hashset_intf.S = struct
 
   let inspect t =
     W.Core.inspect t.W.core
-      ~announce_pending:(Array.length (W.announced t))
+      ~announce_pending:(Array.length (W.pending_ops t))
 
-  let pending_ops = W.announced
+  let pending_ops = W.pending_ops
 end

@@ -2,7 +2,7 @@
 
    The wait-free tables' progress argument says every announced
    operation is completed within a bounded number of steps by *some*
-   thread (Wf_common's help_up_to). That claim is normally invisible:
+   thread (Announce's help_up_to). That claim is normally invisible:
    a helping bug shows up as a hang, far from its cause. The watchdog
    makes it observable — each poll snapshots the pending announced
    operations of its sources (as (tid, token) pairs, where the token

@@ -202,6 +202,83 @@ module Table_races (H : Nbhash.Hashset_intf.S) = struct
     (threads, verdict t h1 r)
 end
 
+(* Map races: an update racing a forced resize on the integer-keyed
+   maps, judged by the map model over the recorded Put/Get/Del history
+   plus the structural invariant checker. The wait-free map runs the
+   same slot protocol and announce code as the wait-free sets. *)
+module type MAP = sig
+  type t
+  type handle
+
+  val create : Policy.t -> t
+  val register : t -> handle
+  val put : handle -> int -> int -> int option
+  val get : handle -> int -> int option
+  val remove : handle -> int -> int option
+  val force_resize : handle -> grow:bool -> unit
+  val check_invariants : t -> unit
+end
+
+module Map_races (M : MAP) = struct
+  let record r h op =
+    ignore
+      (Record.record r op (fun () ->
+           match op with
+           | Lin.Map_model.Put (k, v) -> M.put h k v
+           | Lin.Map_model.Get k -> M.get h k
+           | Lin.Map_model.Del k -> M.remove h k))
+
+  let verdict ~keys t h r () =
+    List.iter (fun k -> record r h (Lin.Map_model.Get k)) keys;
+    match M.check_invariants t with
+    | exception Failure msg -> Error ("invariant violation: " ^ msg)
+    | () ->
+      let evs = Record.events r in
+      if Lin.Map.check evs then Ok ()
+      else
+        Error
+          (Format.asprintf "map history is not linearizable:@.%a"
+             Lin.Map.pp_history evs)
+
+  let setup buckets =
+    let t = M.create (Policy.presized buckets) in
+    let h1 = M.register t and h2 = M.register t in
+    (t, h1, h2, Record.make ())
+
+  (* The resizer then writes key 3, which initializes the new bucket
+     that also owns key 1: the copy must not lose an update that lands
+     in the predecessor bucket it copies, which is what freezing that
+     bucket first guarantees. *)
+  let resize_then_put r h ~grow =
+    M.force_resize h ~grow;
+    record r h (Lin.Map_model.Put (3, 30))
+
+  (* The put overwrites a binding whose bucket the grow splits. *)
+  let put_during_grow () =
+    let t, h1, h2, r = setup 1 in
+    record r h1 (Lin.Map_model.Put (1, 10));
+    let threads =
+      [|
+        (fun () -> record r h1 (Lin.Map_model.Put (1, 11)));
+        (fun () -> resize_then_put r h2 ~grow:true);
+      |]
+    in
+    (threads, verdict ~keys:[ 1; 3 ] t h1 r)
+
+  (* The delete targets a bucket the shrink merges with its sibling. *)
+  let delete_during_shrink () =
+    let t, h1, h2, r = setup 2 in
+    record r h1 (Lin.Map_model.Put (1, 10));
+    record r h1 (Lin.Map_model.Put (2, 20));
+    let threads =
+      [|
+        (fun () -> record r h1 (Lin.Map_model.Del 1));
+        (fun () -> resize_then_put r h2 ~grow:false);
+      |]
+    in
+    (threads, verdict ~keys:[ 1; 2; 3 ] t h1 r)
+end
+
 (* Cooperative-sweep races: the table starts mid-migration (a forced
    grow in setup leaves the head HNode with a predecessor and every
    head bucket nil), and the racing update operations both migrate
@@ -473,6 +550,36 @@ module LFArray_sweep = Sweep_races (Nbhash.Tables.LFArray)
 module WFArray_sweep = Sweep_races (Nbhash.Tables.WFArray)
 module LFArrayOpt_sweep = Sweep_races (Nbhash.Tables.LFArrayOpt)
 module AdaptiveOpt_sweep = Sweep_races (Nbhash.Tables.AdaptiveOpt)
+module Hashmap = Map_races (struct
+  module M = Nbhash.Hashmap
+
+  type t = int M.t
+  type handle = int M.handle
+
+  let create policy = M.create ~policy ()
+  let register = M.register
+  let put = M.put
+  let get = M.get
+  let remove = M.remove
+  let force_resize = M.force_resize
+  let check_invariants = M.check_invariants
+end)
+
+module Wf_hashmap = Map_races (struct
+  module M = Nbhash.Wf_hashmap
+
+  type t = int M.t
+  type handle = int M.handle
+
+  let create policy = M.create ~policy ~max_threads:4 ()
+  let register = M.register
+  let put = M.put
+  let get = M.get
+  let remove = M.remove
+  let force_resize = M.force_resize
+  let check_invariants = M.check_invariants
+end)
+
 module Ordered_list = Ordered_list_races (Nbhash_splitorder.Ordered_list)
 module SplitOrder = Table_races (Nbhash_splitorder.Split_ordered)
 module Broken = Freeze_vs_update (Broken_fset)
@@ -515,6 +622,10 @@ let all : (string * Explore.scenario) list =
     ("adaptiveopt sweep helper vs lazy init", AdaptiveOpt_sweep.helper_vs_lazy);
     ( "adaptiveopt sweep vs grow-shrink",
       AdaptiveOpt_sweep.sweep_vs_grow_shrink );
+    ("hashmap put during grow", Hashmap.put_during_grow);
+    ("hashmap delete during shrink", Hashmap.delete_during_shrink);
+    ("wf-hashmap put during grow", Wf_hashmap.put_during_grow);
+    ("wf-hashmap delete during shrink", Wf_hashmap.delete_during_shrink);
     ( "ordered-list insert vs remove of pred",
       Ordered_list.insert_vs_remove_pred );
     ("ordered-list double remove", Ordered_list.double_remove);

@@ -1,7 +1,9 @@
 (* Allocation budgets of the lookup paths, counted with
    [Gc.minor_words] (unboxed, so reading it allocates nothing): a
    [contains] on every [Hashset_intf] variant and a [has_member] on
-   every FSet must allocate no word at all. Also the heap a churned
+   every FSet must allocate no word at all, and a map [get] at most the
+   [Some] it returns. An update on the adaptive tables costs no more
+   than on WFArray. Also the heap a churned
    unordered-list FSet keeps alive, the footprint of an empty
    split-ordered table, and the padded atomic of [Nb_atomic]. *)
 
@@ -38,6 +40,73 @@ let contains_allocates_nothing (module H : Nbhash.Hashset_intf.S) () =
   H.unregister h;
   Alcotest.(check (float 0.)) "minor words per contains" 0.
     (words /. float_of_int lookups)
+
+(* Minor words per update of a remove + insert pair over present keys,
+   after one warm-up pass. *)
+let words_per_update (module H : Nbhash.Hashset_intf.S) =
+  let t = H.create () in
+  let h = H.register t in
+  for i = 0 to table_keys - 1 do
+    ignore (H.insert h i)
+  done;
+  let pass () =
+    for i = 0 to lookups - 1 do
+      let k = i land (table_keys - 1) in
+      if not (H.remove h k && H.insert h k) then
+        Alcotest.failf "%s: remove + insert of present key %d" H.name k
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let after = Gc.minor_words () in
+  H.unregister h;
+  (after -. before) /. float_of_int (2 * lookups)
+
+(* The adaptive fast path allocates no closure and no option: an update
+   costs no more than the same update on WFArray, whose announced
+   operation is the same size as the fast path's private one. *)
+let adaptive_update_no_dearer (module H : Nbhash.Hashset_intf.S) () =
+  let wf = words_per_update (module Nbhash.Tables.WFArray) in
+  let words = words_per_update (module H) in
+  if words > wf then
+    Alcotest.failf "%s: %.2f minor words per update, WFArray %.2f" H.name
+      words wf
+
+(* A map [get] allocates at most the [Some] it returns: 2 words on a
+   hit, nothing on a miss. *)
+let map_get_allocates_some ~get () =
+  let hits = words_of_lookups ~keys:table_keys (fun k -> get k <> None) in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 minor words per hit (%.0f words over %d hits)"
+       hits (lookups / 2))
+    true
+    (hits <= float_of_int lookups);
+  let misses =
+    let before = Gc.minor_words () in
+    for i = 0 to lookups - 1 do
+      ignore (Sys.opaque_identity (get ((2 * i) + 1)))
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "minor words per miss" 0.
+    (misses /. float_of_int lookups)
+
+let hashmap_get () =
+  let module M = Nbhash.Hashmap in
+  let h = M.register (M.create ()) in
+  for i = 0 to table_keys - 1 do
+    ignore (M.put h (2 * i) i)
+  done;
+  map_get_allocates_some ~get:(M.get h) ()
+
+let wf_hashmap_get () =
+  let module M = Nbhash.Wf_hashmap in
+  let h = M.register (M.create ()) in
+  for i = 0 to table_keys - 1 do
+    ignore (M.put h (2 * i) i)
+  done;
+  map_get_allocates_some ~get:(M.get h) ()
 
 let fset_keys = 8
 
@@ -140,6 +209,12 @@ let suite =
               (has_member_allocates_nothing m))
           fsets
       @ [
+          Alcotest.test_case "update Adaptive <= WFArray" `Quick
+            (adaptive_update_no_dearer (module Nbhash.Tables.Adaptive));
+          Alcotest.test_case "update AdaptiveOpt <= WFArray" `Quick
+            (adaptive_update_no_dearer (module Nbhash.Tables.AdaptiveOpt));
+          Alcotest.test_case "get Hashmap" `Quick hashmap_get;
+          Alcotest.test_case "get Wf_hashmap" `Quick wf_hashmap_get;
           Alcotest.test_case "ulist churn stays small" `Quick
             ulist_churn_stays_small;
           Alcotest.test_case "splitorder empty footprint" `Quick

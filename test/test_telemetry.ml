@@ -313,6 +313,17 @@ let test_unregister_flushes () =
 
 (* --- wait-free tables report helping --- *)
 
+let check_helping_reported snap =
+  Alcotest.(check bool) "slowpath entries recorded" true
+    (Snapshot.get snap Event.Slowpath_entry >= 100);
+  Alcotest.(check bool) "helping recorded" true
+    (Snapshot.get snap Event.Help_op > 0);
+  match Snapshot.span snap Event.Slowpath_span with
+  | None -> Alcotest.fail "slowpath span missing"
+  | Some s ->
+    Alcotest.(check bool) "span count matches entries" true
+      (s.Nbhash_util.Stats.n >= 100)
+
 let test_wf_reports_helping () =
   with_probe (fun _ ->
       let module S = Nbhash.Tables.WFArray in
@@ -322,16 +333,20 @@ let test_wf_reports_helping () =
         ignore (S.insert h k)
       done;
       S.unregister h;
-      let snap = Tm.snapshot () in
-      Alcotest.(check bool) "slowpath entries recorded" true
-        (Snapshot.get snap Event.Slowpath_entry >= 100);
-      Alcotest.(check bool) "helping recorded" true
-        (Snapshot.get snap Event.Help_op > 0);
-      match Snapshot.span snap Event.Slowpath_span with
-      | None -> Alcotest.fail "slowpath span missing"
-      | Some s ->
-        Alcotest.(check bool) "span count matches entries" true
-          (s.Nbhash_util.Stats.n >= 100))
+      check_helping_reported (Tm.snapshot ()))
+
+(* The wait-free map runs the same announce-and-help code, so it
+   reports helping the way the sets do. *)
+let test_wf_hashmap_reports_helping () =
+  with_probe (fun _ ->
+      let module M = Nbhash.Wf_hashmap in
+      let t = M.create ~max_threads:4 () in
+      let h = M.register t in
+      for k = 0 to 99 do
+        ignore (M.put h k k)
+      done;
+      M.unregister h;
+      check_helping_reported (Tm.snapshot ()))
 
 (* --- snapshot serialisation --- *)
 
@@ -460,6 +475,8 @@ let suite =
           test_unregister_flushes;
         Alcotest.test_case "wait-free helping reported" `Quick
           test_wf_reports_helping;
+        Alcotest.test_case "wait-free map helping reported" `Quick
+          test_wf_hashmap_reports_helping;
         Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
         Alcotest.test_case "snapshot json shape" `Quick
           test_snapshot_json_shape;

@@ -255,17 +255,19 @@ let test_chrome_export () =
    impossible. The watchdog must report it, and must stop reporting
    once a helper completes the operation. *)
 module W = Nbhash.Wf_common.Make (Nbhash_fset.Wf_array_fset)
+module A = W.A
 module F = Nbhash_fset.Wf_array_fset
 
 let test_watchdog_negative_control () =
   let t = W.create_t Nbhash.Policy.default 4 in
+  let a = t.W.announce in
   let h = W.register t in
-  let prio = Atomic.fetch_and_add t.W.counter 1 in
+  let prio = Atomic.fetch_and_add a.A.counter 1 in
   let op = F.make_op Nbhash_fset.Fset_intf.Ins 42 ~prio in
-  Atomic.set t.W.slots.(h.W.tid) op;
+  Atomic.set a.A.slots.(h.W.tid) op;
   let wd =
     Watchdog.create ~max_age_ns:5_000_000
-      [ { Watchdog.name = "broken-wf"; pending = (fun () -> W.announced t) } ]
+      [ { Watchdog.name = "broken-wf"; pending = (fun () -> A.pending_ops a) } ]
   in
   Alcotest.(check (list string))
     "first poll only starts the clock" []
@@ -282,7 +284,8 @@ let test_watchdog_negative_control () =
   | ss -> Alcotest.failf "expected one stall, got %d" (List.length ss));
   (* A helping thread arrives: the operation completes and the
      watchdog forgets it. *)
-  W.drive t op;
+  A.help_up_to a t.W.core ~prio;
+  Alcotest.(check bool) "helped op is done" true (F.op_is_done op);
   Alcotest.(check int) "completed op clears the stall" 0
     (List.length (Watchdog.poll wd));
   Unix.sleepf 0.01;
@@ -292,22 +295,23 @@ let test_watchdog_negative_control () =
    tid (fresh token) is not the old stall. *)
 let test_watchdog_token_reuse () =
   let t = W.create_t Nbhash.Policy.default 4 in
+  let a = t.W.announce in
   let h = W.register t in
   let announce k =
-    let prio = Atomic.fetch_and_add t.W.counter 1 in
+    let prio = Atomic.fetch_and_add a.A.counter 1 in
     let op = F.make_op Nbhash_fset.Fset_intf.Ins k ~prio in
-    Atomic.set t.W.slots.(h.W.tid) op;
+    Atomic.set a.A.slots.(h.W.tid) op;
     op
   in
   let wd =
     Watchdog.create ~max_age_ns:5_000_000
-      [ { Watchdog.name = "reuse"; pending = (fun () -> W.announced t) } ]
+      [ { Watchdog.name = "reuse"; pending = (fun () -> A.pending_ops a) } ]
   in
   let op1 = announce 1 in
   ignore (Watchdog.poll wd);
   Unix.sleepf 0.02;
   Alcotest.(check int) "old op stalls" 1 (List.length (Watchdog.poll wd));
-  W.drive t op1;
+  A.help_up_to a t.W.core ~prio:(F.op_prio op1);
   ignore (announce 2);
   (* Same tid, new token: the age clock must restart, so an immediate
      poll reports nothing even though the slot never went inert. *)
